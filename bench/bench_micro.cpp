@@ -5,11 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/encoding.h"
@@ -73,6 +75,50 @@ void BM_MemTableAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemTableAdd);
+
+// Point-read fixtures: state.range(0) keys, state.range(1) = 1 for hits (a
+// stored key, in random order) or 0 for misses (an absent key that sorts
+// right after a stored one, so ordered searches go the full depth).
+std::vector<std::string> PointReadKeys(int64_t n, bool hit) {
+  std::vector<std::string> keys;
+  Rng rng(3);
+  for (int64_t i = 0; i < 4096; i++) {
+    keys.push_back("key" +
+                   std::to_string(rng.Uniform(static_cast<uint64_t>(n))) +
+                   (hit ? "" : "-"));
+  }
+  return keys;
+}
+
+void BM_MemTableGet(benchmark::State& state) {
+  MemTable mt;
+  uint64_t seq = 0;
+  for (int64_t i = 0; i < state.range(0); i++) {
+    mt.Add("key" + std::to_string(i), "value", ++seq, ValueType::kPut);
+  }
+  const auto keys = PointReadKeys(state.range(0), state.range(1) != 0);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mt.Get(keys[i++ % keys.size()], UINT64_MAX));
+  }
+}
+BENCHMARK(BM_MemTableGet)->ArgsProduct({{50000, 200000}, {1, 0}});
+
+void BM_SortedRunGet(benchmark::State& state) {
+  std::vector<KvEntry> entries;
+  for (int64_t i = 0; i < state.range(0); i++) {
+    entries.push_back({"key" + std::to_string(i), "value", 1, ValueType::kPut});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const KvEntry& a, const KvEntry& b) { return a.key < b.key; });
+  SortedRun run(std::move(entries));
+  const auto keys = PointReadKeys(state.range(0), state.range(1) != 0);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run.Get(keys[i++ % keys.size()], UINT64_MAX));
+  }
+}
+BENCHMARK(BM_SortedRunGet)->ArgsProduct({{50000, 200000}, {1, 0}});
 
 void BM_KvStorePutGet(benchmark::State& state) {
   KvStore kv;

@@ -9,8 +9,9 @@
 #   2. an AddressSanitizer+UBSan build running the complete test suite
 #      (memory errors and UB anywhere, not just in concurrency hot spots);
 #   3. a ThreadSanitizer build running the concurrency-heavy tests (metrics
-#      registry, SimNet edge tables, lock manager, lock-order tracker,
-#      workload harness, the sharded dentry cache, and the cross-engine
+#      registry, SimNet edge tables, lock manager, KV memtable index under
+#      a concurrent writer, lock-order tracker, workload harness, the
+#      sharded dentry cache, and the cross-engine
 #      cache-coherence tests — the code most exposed to the multi-threaded
 #      client loops).
 #
@@ -18,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TSAN_TESTS=(metrics_test trace_event_test simnet_test lock_manager_test
+TSAN_TESTS=(metrics_test trace_event_test simnet_test lock_manager_test kv_test
             common_test lock_order_test workload_test dentry_cache_test)
 
 if [[ "${1:-}" == "" ]]; then

@@ -36,7 +36,8 @@ echo "docs_lint: README.md covers all $(echo "$fields" | wc -l) CfsOptions knobs
 # Every registered lock class — mutexes constructed per the single-line
 # convention  Mutex mu_{"subsystem.name", rank};  (thread_annotations.h) —
 # must appear in DESIGN.md's "Concurrency invariants" rank table with the
-# same rank, so the documented hierarchy can't drift from the code.
+# same rank, and every never-across-rpc row there must be such a class, so
+# the documented hierarchy can't drift from the code in either direction.
 locks=$(grep -rhoE '(Mutex|SharedMutex)[[:space:]]+[A-Za-z_]+\{"[a-z._]+",[[:space:]]*[0-9]+\}' \
           src/ --include='*.h' --include='*.cc' |
         sed -E 's/.*\{"([a-z._]+)",[[:space:]]*([0-9]+)\}/\1 \2/' | sort -u)
@@ -61,11 +62,24 @@ while read -r name rank; do
   fi
 done <<< "$locks"
 
+# Reverse direction: every never-across-rpc row in the table must still be
+# a registered mutex class with that rank, so a deleted or re-ranked lock
+# cannot leave a stale row behind.
+doc_mutexes=$(grep -oE '^\|\s*`[a-z._]+`\s*\|\s*[0-9]+\s*\|\s*never-across-rpc\s*\|' DESIGN.md |
+              sed -E 's/^\|\s*`([a-z._]+)`\s*\|\s*([0-9]+).*/\1 \2/' | sort -u)
+while read -r name rank; do
+  [[ -z "$name" ]] && continue
+  if ! grep -qxF "$name $rank" <<< "$locks"; then
+    echo "docs_lint: DESIGN.md row \"$name\" (rank $rank) has no Mutex/SharedMutex registration in src/" >&2
+    missing=1
+  fi
+done <<< "$doc_mutexes"
+
 if [[ "$missing" -ne 0 ]]; then
-  echo "docs_lint: add the missing lock class(es) to DESIGN.md's Concurrency invariants table" >&2
+  echo "docs_lint: make DESIGN.md's Concurrency invariants table match the lock classes registered in src/" >&2
   exit 1
 fi
-echo "docs_lint: DESIGN.md covers all $(echo "$locks" | wc -l) lock classes"
+echo "docs_lint: DESIGN.md rank table and src/ agree on all $(echo "$locks" | wc -l) lock classes"
 
 # Logical scope classes (no mutex object; registered through
 # lock_order::RegisterClass with kAllowedAcrossRpc) carry a greppable

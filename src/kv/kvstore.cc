@@ -37,6 +37,9 @@ StatusOr<WriteBatch> WriteBatch::Decode(std::string_view data) {
   for (uint64_t i = 0; i < count; i++) {
     if (dec.empty()) return Status::Corruption("batch truncated");
     auto type = static_cast<ValueType>(dec.rest()[0]);
+    if (type != ValueType::kPut && type != ValueType::kDelete) {
+      return Status::Corruption("batch op type");
+    }
     dec = Decoder(dec.rest().substr(1));
     std::string key, value;
     if (!dec.GetLengthPrefixed(&key) || !dec.GetLengthPrefixed(&value)) {
@@ -60,12 +63,20 @@ Status KvStore::Open() {
   CFS_RETURN_IF_ERROR(wal_.Open());
   if (!options_.use_wal) return Status::Ok();
   uint64_t max_seq = 0;
+  Status corrupt = Status::Ok();
   Status replay = wal_.Replay([&](uint64_t, std::string_view record) {
+    if (!corrupt.ok()) return;
     Decoder dec(record);
     uint64_t first_seq;
-    if (!dec.GetVarint64(&first_seq)) return;
+    if (!dec.GetVarint64(&first_seq)) {
+      corrupt = Status::Corruption("batch sequence");
+      return;
+    }
     auto batch = WriteBatch::Decode(dec.rest());
-    if (!batch.ok()) return;
+    if (!batch.ok()) {
+      corrupt = batch.status();
+      return;
+    }
     uint64_t seq = first_seq;
     WriterMutexLock vlock(version_mu_);
     for (const auto& op : batch->ops()) {
@@ -75,6 +86,7 @@ Status KvStore::Open() {
     }
   });
   CFS_RETURN_IF_ERROR(replay);
+  CFS_RETURN_IF_ERROR(corrupt);
   if (max_seq > seq_.load()) seq_.store(max_seq);
   return Status::Ok();
 }
@@ -110,16 +122,9 @@ Status KvStore::WriteLocked(const WriteBatch& batch, bool sync) {
     active_bytes = active_->ApproximateBytes();
   }
   seq_.store(seq - 1, std::memory_order_release);
-  {
-    MutexLock slock(stats_mu_);
-    CFS_SHARED_WRITE(stats_, stats_mu_);
-    for (const auto& op : batch.ops()) {
-      if (op.type == ValueType::kPut) {
-        stats_.puts++;
-      } else {
-        stats_.deletes++;
-      }
-    }
+  for (const auto& op : batch.ops()) {
+    (op.type == ValueType::kPut ? puts_ : deletes_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   if (active_bytes >= options_.memtable_flush_bytes) {
     CFS_RETURN_IF_ERROR(Flush());
@@ -139,48 +144,42 @@ Status KvStore::Delete(std::string_view key, bool sync) {
   return Write(b, sync);
 }
 
-StatusOr<std::string> KvStore::Get(std::string_view key,
-                                   uint64_t snapshot_seq) const {
-  {
-    MutexLock slock(stats_mu_);
-    CFS_SHARED_WRITE(stats_, stats_mu_);
-    stats_.gets++;
-  }
-  ReaderMutexLock vlock(version_mu_);
+const KvEntry* KvStore::Find(std::string_view key,
+                             uint64_t snapshot_seq) const {
+  gets_.fetch_add(1, std::memory_order_relaxed);
   CFS_SHARED_READ(active_, version_mu_);
   // Per key, source order equals recency order: active > immutables (newest
   // first) > runs (newest first).
-  if (auto e = active_->Get(key, snapshot_seq)) {
-    if (e->type == ValueType::kDelete) return Status::NotFound();
-    return e->value;
-  }
+  if (const KvEntry* e = active_->Get(key, snapshot_seq)) return e;
   for (auto it = immutable_.rbegin(); it != immutable_.rend(); ++it) {
-    if (auto e = (*it)->Get(key, snapshot_seq)) {
-      if (e->type == ValueType::kDelete) return Status::NotFound();
-      return e->value;
-    }
+    if (const KvEntry* e = (*it)->Get(key, snapshot_seq)) return e;
   }
   for (const auto& run : runs_) {
-    if (auto e = run->Get(key, snapshot_seq)) {
-      if (e->type == ValueType::kDelete) return Status::NotFound();
-      return e->value;
-    }
+    if (const KvEntry* e = run->Get(key, snapshot_seq)) return e;
   }
-  return Status::NotFound();
+  return nullptr;
+}
+
+StatusOr<std::string> KvStore::Get(std::string_view key,
+                                   uint64_t snapshot_seq) const {
+  ReaderMutexLock vlock(version_mu_);
+  const KvEntry* e = Find(key, snapshot_seq);
+  if (e == nullptr || e->type == ValueType::kDelete) {
+    return Status::NotFound();
+  }
+  return e->value;
 }
 
 bool KvStore::Contains(std::string_view key, uint64_t snapshot_seq) const {
-  return Get(key, snapshot_seq).ok();
+  ReaderMutexLock vlock(version_mu_);
+  const KvEntry* e = Find(key, snapshot_seq);
+  return e != nullptr && e->type == ValueType::kPut;
 }
 
 std::vector<std::pair<std::string, std::string>> KvStore::Scan(
     std::string_view start, std::string_view end, size_t limit,
     uint64_t snapshot_seq) const {
-  {
-    MutexLock slock(stats_mu_);
-    CFS_SHARED_WRITE(stats_, stats_mu_);
-    stats_.scans++;
-  }
+  scans_.fetch_add(1, std::memory_order_relaxed);
   ReaderMutexLock vlock(version_mu_);
   CFS_SHARED_READ(active_, version_mu_);
   // Merge newest-wins per key across all sources.
@@ -260,10 +259,7 @@ Status KvStore::Flush() {
     immutable_.erase(std::remove(immutable_.begin(), immutable_.end(), sealed),
                      immutable_.end());
   }
-  {
-    MutexLock slock(stats_mu_);
-    stats_.flushes++;
-  }
+  flushes_.fetch_add(1, std::memory_order_relaxed);
   MaybeCompactLocked();
   return Status::Ok();
 }
@@ -303,10 +299,7 @@ Status KvStore::Compact() {
     remaining.push_back(merged);
     runs_ = std::move(remaining);
   }
-  {
-    MutexLock slock(stats_mu_);
-    stats_.compactions++;
-  }
+  compactions_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -323,9 +316,10 @@ uint64_t KvStore::LastSequence() const {
 }
 
 KvStore::Stats KvStore::stats() const {
-  MutexLock lock(stats_mu_);
-  CFS_SHARED_READ(stats_, stats_mu_);
-  return stats_;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  return Stats{puts_.load(kRelaxed),    deletes_.load(kRelaxed),
+               gets_.load(kRelaxed),    scans_.load(kRelaxed),
+               flushes_.load(kRelaxed), compactions_.load(kRelaxed)};
 }
 
 }  // namespace cfs

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -113,6 +112,10 @@ class KvStore {
  private:
   Status WriteLocked(const WriteBatch& batch, bool sync) REQUIRES(write_mu_);
   uint64_t OldestSnapshotLocked() const;
+  // Newest version of `key` at `snapshot_seq` across every source (a
+  // tombstone included), or nullptr. Counts one get.
+  const KvEntry* Find(std::string_view key, uint64_t snapshot_seq) const
+      REQUIRES_SHARED(version_mu_);
 
   KvOptions options_;  // tsa-coverage: allow(immutable after construction)
   Wal wal_;  // tsa-coverage: allow(internally synchronized)
@@ -131,8 +134,13 @@ class KvStore {
   mutable Mutex snapshot_mu_{"kv.snapshot", 66};
   std::multiset<uint64_t> snapshots_ GUARDED_BY(snapshot_mu_);
 
-  mutable Mutex stats_mu_{"kv.stats", 67};
-  mutable Stats stats_ GUARDED_BY(stats_mu_);
+  // Operation counters (Stats): relaxed, each is an independent tally.
+  std::atomic<uint64_t> puts_{0};
+  std::atomic<uint64_t> deletes_{0};
+  mutable std::atomic<uint64_t> gets_{0};
+  mutable std::atomic<uint64_t> scans_{0};
+  std::atomic<uint64_t> flushes_{0};
+  std::atomic<uint64_t> compactions_{0};
 };
 
 }  // namespace cfs

@@ -8,7 +8,7 @@
 
 namespace cfs {
 
-MemTable::MemTable() {
+MemTable::MemTable() : buckets_(new std::atomic<Node*>[kBuckets]()) {
   KvEntry sentinel;
   head_ = NewNode(std::move(sentinel), kMaxHeight);
   for (int i = 0; i < kMaxHeight; i++) {
@@ -33,6 +33,7 @@ MemTable::Node* MemTable::NewNode(KvEntry entry, int height) {
   Node* node = static_cast<Node*>(mem);
   new (&node->entry) KvEntry(std::move(entry));
   node->height = height;
+  new (&node->hash_next) std::atomic<Node*>(nullptr);
   for (int i = 0; i < height; i++) {
     new (&node->next[i]) std::atomic<Node*>(nullptr);
   }
@@ -81,22 +82,52 @@ void MemTable::Add(std::string_view key, std::string_view value, uint64_t seq,
     }
     max_height_.store(height, std::memory_order_release);
   }
+  const uint64_t h = KeyHash(key);
   Node* node = NewNode(std::move(entry), height);
+  node->tag = static_cast<uint32_t>(h >> 32);
   for (int i = 0; i < height; i++) {
     node->SetNext(i, prev[i]->Next(i));
     prev[i]->SetNext(i, node);
   }
+  // Publish in the index only now that the node is linked on level 0, so a
+  // reader that finds it can step to older versions. Single writer: relaxed
+  // loads of the chain suffice here; readers see only release stores.
+  std::atomic<Node*>* link = &buckets_[h & (kBuckets - 1)];
+  Node* cur = link->load(std::memory_order_relaxed);
+  while (cur != nullptr && (cur->tag != node->tag || cur->entry.key != key)) {
+    link = &cur->hash_next;
+    cur = link->load(std::memory_order_relaxed);
+  }
+  if (cur == nullptr || cur->entry.seq < seq) {
+    // A new key goes at the chain's tail. A newer version takes the old
+    // node's place; a reader already on the old node still follows its
+    // unchanged hash_next.
+    node->hash_next.store(
+        cur == nullptr ? nullptr : cur->hash_next.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    link->store(node, std::memory_order_release);
+  }
+  // else: an older version than the chained one; it sits behind it on
+  // level 0, where snapshot reads step to it.
   bytes_.fetch_add(cost, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::optional<KvEntry> MemTable::Get(std::string_view key,
-                                     uint64_t snapshot_seq) const {
-  Node* n = FindGreaterOrEqual(key, snapshot_seq, nullptr);
-  if (n != nullptr && n->entry.key == key) {
-    return n->entry;
+const KvEntry* MemTable::Get(std::string_view key,
+                             uint64_t snapshot_seq) const {
+  const uint64_t h = KeyHash(key);
+  const uint32_t tag = static_cast<uint32_t>(h >> 32);
+  const Node* n = buckets_[h & (kBuckets - 1)].load(std::memory_order_acquire);
+  while (n != nullptr && (n->tag != tag || n->entry.key != key)) {
+    n = n->hash_next.load(std::memory_order_acquire);
   }
-  return std::nullopt;
+  if (n == nullptr) return nullptr;
+  // n is the newest version; older ones follow it on level 0.
+  while (n->entry.seq > snapshot_seq) {
+    n = n->Next(0);
+    if (n == nullptr || n->entry.key != key) return nullptr;
+  }
+  return &n->entry;
 }
 
 void MemTable::VisitRange(

@@ -2,6 +2,11 @@
 // entries are ordered by (user_key asc, sequence desc), and carry a value
 // type (put or tombstone). Readers at a snapshot sequence see the newest
 // entry whose sequence is <= the snapshot.
+//
+// Point reads do not walk the skiplist: a fixed hash index (the RocksDB
+// hash-skiplist idea) chains each key's newest node, and older versions
+// follow that node on skiplist level 0. The skiplist serves ordered work
+// only (range visits, flush).
 
 #ifndef CFS_KV_MEMTABLE_H_
 #define CFS_KV_MEMTABLE_H_
@@ -10,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -26,6 +30,11 @@ struct KvEntry {
   uint64_t seq = 0;
   ValueType type = ValueType::kPut;
 };
+
+// Point-index hash shared by the memtable and sorted-run indexes.
+inline uint64_t KeyHash(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
 
 // Orders by key asc, then seq desc (newer versions first).
 inline bool InternalLess(std::string_view ak, uint64_t aseq,
@@ -49,10 +58,11 @@ class MemTable {
   void Add(std::string_view key, std::string_view value, uint64_t seq,
            ValueType type);
 
-  // Newest version of `key` visible at `snapshot_seq`. Returns nullopt when
-  // no version exists (a tombstone IS returned, as an entry of kDelete type,
+  // Newest version of `key` visible at `snapshot_seq`, or nullptr when no
+  // version exists (a tombstone IS returned, as an entry of kDelete type,
   // so callers can distinguish "deleted here" from "not present here").
-  std::optional<KvEntry> Get(std::string_view key, uint64_t snapshot_seq) const;
+  // The entry lives as long as the memtable. O(1): one bucket chain walk.
+  const KvEntry* Get(std::string_view key, uint64_t snapshot_seq) const;
 
   // Visits all entries (every version) with key in [start, end) in internal
   // order. Return false from the visitor to stop.
@@ -67,10 +77,16 @@ class MemTable {
 
  private:
   static constexpr int kMaxHeight = 12;
+  // Hash index size: 2^14 buckets, 128 KB of heads per memtable.
+  static constexpr size_t kBuckets = size_t{1} << 14;
 
   struct Node {
     KvEntry entry;
     int height;
+    uint32_t tag;  // high half of KeyHash(entry.key)
+    // Next key in this node's bucket chain. Only a key's newest node is
+    // chained; a newer version replaces it in place.
+    std::atomic<Node*> hash_next;
     std::atomic<Node*> next[1];  // over-allocated to `height`
 
     Node* Next(int level) const {
@@ -88,6 +104,7 @@ class MemTable {
                            Node** prev) const;
 
   Node* head_;
+  std::unique_ptr<std::atomic<Node*>[]> buckets_;
   std::atomic<int> max_height_{1};
   Rng rng_{0xdecafbad};
   std::atomic<size_t> bytes_{0};

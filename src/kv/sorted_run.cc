@@ -1,31 +1,49 @@
 #include "src/kv/sorted_run.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <queue>
+
+#include "src/common/check.h"
 
 namespace cfs {
 
 SortedRun::SortedRun(std::vector<KvEntry> entries)
     : entries_(std::move(entries)) {
-  for (const auto& e : entries_) {
+  CFS_CHECK(entries_.size() < kEmptySlot);
+  size_t keys = 0;
+  for (size_t i = 0; i < entries_.size(); i++) {
+    const KvEntry& e = entries_[i];
     min_seq_ = std::min(min_seq_, e.seq);
     max_seq_ = std::max(max_seq_, e.seq);
+    if (i == 0 || e.key != entries_[i - 1].key) keys++;
+  }
+  if (keys == 0) return;
+  index_.assign(std::bit_ceil(2 * keys), kEmptySlot);
+  const size_t mask = index_.size() - 1;
+  for (size_t i = 0; i < entries_.size(); i++) {
+    if (i > 0 && entries_[i].key == entries_[i - 1].key) continue;
+    size_t slot = KeyHash(entries_[i].key) & mask;
+    while (index_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    index_[slot] = static_cast<uint32_t>(i);
   }
 }
 
-std::optional<KvEntry> SortedRun::Get(std::string_view key,
-                                      uint64_t snapshot_seq) const {
-  // First entry >= (key, snapshot_seq) in internal order.
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [snapshot_seq](const KvEntry& e, std::string_view k) {
-        return InternalLess(e.key, e.seq, k, snapshot_seq);
-      });
-  if (it != entries_.end() && it->key == key) {
-    return *it;
+const KvEntry* SortedRun::Get(std::string_view key,
+                              uint64_t snapshot_seq) const {
+  if (index_.empty()) return nullptr;
+  const size_t mask = index_.size() - 1;
+  for (size_t slot = KeyHash(key) & mask; index_[slot] != kEmptySlot;
+       slot = (slot + 1) & mask) {
+    if (entries_[index_[slot]].key != key) continue;
+    // The key's newest entry; older versions follow it.
+    for (size_t pos = index_[slot];
+         pos < entries_.size() && entries_[pos].key == key; pos++) {
+      if (entries_[pos].seq <= snapshot_seq) return &entries_[pos];
+    }
+    return nullptr;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void SortedRun::VisitRange(

@@ -1,6 +1,8 @@
 // Immutable sorted run — the flushed/compacted on-"disk" unit of the KV
 // store (the SSTable analogue). Entries are in internal order (key asc,
-// seq desc) and may contain multiple versions of a key.
+// seq desc) and may contain multiple versions of a key. Point reads go
+// through an open-addressed hash index built once at construction; the
+// sorted vector serves range visits and merges.
 
 #ifndef CFS_KV_SORTED_RUN_H_
 #define CFS_KV_SORTED_RUN_H_
@@ -8,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -21,8 +22,9 @@ class SortedRun {
   // `entries` must already be in internal order.
   explicit SortedRun(std::vector<KvEntry> entries);
 
-  // Newest version of key visible at snapshot_seq, or nullopt.
-  std::optional<KvEntry> Get(std::string_view key, uint64_t snapshot_seq) const;
+  // Newest version of key visible at snapshot_seq, or nullptr. The entry
+  // lives as long as the run.
+  const KvEntry* Get(std::string_view key, uint64_t snapshot_seq) const;
 
   // Visits entries with key in [start, end) (end empty = unbounded).
   void VisitRange(std::string_view start, std::string_view end,
@@ -42,7 +44,13 @@ class SortedRun {
       bool drop_tombstones);
 
  private:
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
   std::vector<KvEntry> entries_;
+  // Open-addressed (linear probing) index over distinct keys: each slot
+  // holds the position of a key's newest entry. Power-of-two size of at
+  // least twice the key count, so the load factor stays at or under 1/2.
+  std::vector<uint32_t> index_;
   uint64_t min_seq_ = UINT64_MAX;
   uint64_t max_seq_ = 0;
 };

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <map>
-#include <optional>
+#include <thread>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/kv/kvstore.h"
@@ -18,23 +20,122 @@ TEST(MemTableTest, VersionedGet) {
   MemTable mt;
   mt.Add("k", "v1", 1, ValueType::kPut);
   mt.Add("k", "v2", 5, ValueType::kPut);
-  auto latest = mt.Get("k", UINT64_MAX);
-  ASSERT_TRUE(latest.has_value());
+  const KvEntry* latest = mt.Get("k", UINT64_MAX);
+  ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->value, "v2");
-  auto old = mt.Get("k", 3);
-  ASSERT_TRUE(old.has_value());
+  const KvEntry* old = mt.Get("k", 3);
+  ASSERT_NE(old, nullptr);
   EXPECT_EQ(old->value, "v1");
-  EXPECT_FALSE(mt.Get("k", 0).has_value());
-  EXPECT_FALSE(mt.Get("other", UINT64_MAX).has_value());
+  EXPECT_EQ(mt.Get("k", 0), nullptr);
+  EXPECT_EQ(mt.Get("other", UINT64_MAX), nullptr);
 }
 
 TEST(MemTableTest, TombstoneIsVisibleVersion) {
   MemTable mt;
   mt.Add("k", "v", 1, ValueType::kPut);
   mt.Add("k", "", 2, ValueType::kDelete);
-  auto e = mt.Get("k", UINT64_MAX);
-  ASSERT_TRUE(e.has_value());
+  const KvEntry* e = mt.Get("k", UINT64_MAX);
+  ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->type, ValueType::kDelete);
+}
+
+// Older versions added after a newer one stay reachable by snapshot reads
+// and never shadow the newest.
+TEST(MemTableTest, OutOfOrderVersions) {
+  MemTable mt;
+  mt.Add("k", "v5", 5, ValueType::kPut);
+  mt.Add("k", "v1", 1, ValueType::kPut);
+  mt.Add("k", "v3", 3, ValueType::kPut);
+  EXPECT_EQ(mt.Get("k", UINT64_MAX)->value, "v5");
+  EXPECT_EQ(mt.Get("k", 4)->value, "v3");
+  EXPECT_EQ(mt.Get("k", 2)->value, "v1");
+  EXPECT_EQ(mt.Get("k", 0), nullptr);
+}
+
+// More distinct keys than index buckets, so every chain holds several keys,
+// and a slice of them carry many versions: each read must return its own
+// key's version at the snapshot, and misses must stay misses.
+TEST(MemTableTest, IndexCollisionsAndVersions) {
+  constexpr int kKeys = 100000;
+  constexpr int kVersioned = 1000;
+  constexpr int kVersions = 20;
+  MemTable mt;
+  uint64_t seq = 0;
+  for (int i = 0; i < kKeys; i++) {
+    mt.Add("key" + std::to_string(i), "v0", ++seq, ValueType::kPut);
+  }
+  const uint64_t base_seq = seq;
+  // Versions interleave across keys; version r of key i has seq
+  // base_seq + (r - 1) * kVersioned + i + 1.
+  for (int r = 1; r < kVersions; r++) {
+    for (int i = 0; i < kVersioned; i++) {
+      mt.Add("key" + std::to_string(i), "v" + std::to_string(r), ++seq,
+             r == kVersions - 1 && i % 2 == 0 ? ValueType::kDelete
+                                              : ValueType::kPut);
+    }
+  }
+  for (int i = 0; i < kKeys; i++) {
+    std::string key = "key" + std::to_string(i);
+    const KvEntry* e = mt.Get(key, UINT64_MAX);
+    ASSERT_NE(e, nullptr) << key;
+    ASSERT_EQ(e->key, key);
+    if (i >= kVersioned) {
+      EXPECT_EQ(e->value, "v0");
+      continue;
+    }
+    EXPECT_EQ(e->type, i % 2 == 0 ? ValueType::kDelete : ValueType::kPut);
+    for (int r = 0; r < kVersions; r++) {
+      uint64_t at = r == 0 ? base_seq
+                           : base_seq + (r - 1) * kVersioned + i + 1;
+      const KvEntry* v = mt.Get(key, at);
+      ASSERT_NE(v, nullptr) << key << "@" << at;
+      EXPECT_EQ(v->key, key);
+      EXPECT_EQ(v->value, "v" + std::to_string(r)) << key << "@" << at;
+    }
+    EXPECT_EQ(mt.Get(key, static_cast<uint64_t>(i)), nullptr);
+  }
+  for (int i = 0; i < 1000; i++) {
+    EXPECT_EQ(mt.Get("miss" + std::to_string(i), UINT64_MAX), nullptr);
+  }
+}
+
+// One writer adds keys and new versions while four readers look up keys the
+// writer has already published; every read must see a complete entry.
+TEST(MemTableTest, ConcurrentReadersWithOneWriter) {
+  constexpr int kKeys = 20000;
+  MemTable mt;
+  std::atomic<int> published{0};
+  std::atomic<bool> readers_ok{true};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; t++) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      int n;
+      while ((n = published.load(std::memory_order_acquire)) < kKeys) {
+        if (n == 0) continue;
+        int i = static_cast<int>(rng.Uniform(n));
+        const KvEntry* e = mt.Get("key" + std::to_string(i), UINT64_MAX);
+        if (e == nullptr || e->value != "v" + std::to_string(i)) {
+          readers_ok.store(false);
+        }
+      }
+    });
+  }
+  uint64_t seq = 0;
+  for (int i = 0; i < kKeys; i++) {
+    mt.Add("key" + std::to_string(i), "v" + std::to_string(i), ++seq,
+           ValueType::kPut);
+    // A newer version of an already-published key (same value) replaces
+    // that key's node in its bucket chain under the readers.
+    if (i > 0) {
+      int j = i / 2;
+      mt.Add("key" + std::to_string(j), "v" + std::to_string(j), ++seq,
+             ValueType::kPut);
+    }
+    published.store(i + 1, std::memory_order_release);
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_TRUE(readers_ok.load());
 }
 
 TEST(MemTableTest, RangeVisitInOrder) {
@@ -56,12 +157,44 @@ TEST(SortedRunTest, GetHonorsSnapshot) {
       {"k", "v1", 1, ValueType::kPut},
   };
   SortedRun run(std::move(entries));
-  auto latest = run.Get("k", UINT64_MAX);
-  ASSERT_TRUE(latest.has_value());
+  const KvEntry* latest = run.Get("k", UINT64_MAX);
+  ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->value, "v2");
-  auto old = run.Get("k", 2);
-  ASSERT_TRUE(old.has_value());
+  const KvEntry* old = run.Get("k", 2);
+  ASSERT_NE(old, nullptr);
   EXPECT_EQ(old->value, "v1");
+  EXPECT_EQ(run.Get("k", 0), nullptr);
+  EXPECT_EQ(run.Get("other", UINT64_MAX), nullptr);
+}
+
+TEST(SortedRunTest, IndexedGetAcrossManyKeys) {
+  constexpr int kKeys = 50000;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; i++) keys.push_back("key" + std::to_string(i));
+  std::sort(keys.begin(), keys.end());
+  // Every third key has an older version at seq 1; the rest only seq 2.
+  std::vector<KvEntry> entries;
+  for (int i = 0; i < kKeys; i++) {
+    entries.push_back({keys[i], "new", 2, ValueType::kPut});
+    if (i % 3 == 0) entries.push_back({keys[i], "old", 1, ValueType::kPut});
+  }
+  SortedRun run(std::move(entries));
+  for (int i = 0; i < kKeys; i++) {
+    const KvEntry* e = run.Get(keys[i], UINT64_MAX);
+    ASSERT_NE(e, nullptr) << keys[i];
+    EXPECT_EQ(e->key, keys[i]);
+    EXPECT_EQ(e->value, "new");
+    const KvEntry* old = run.Get(keys[i], 1);
+    if (i % 3 == 0) {
+      ASSERT_NE(old, nullptr) << keys[i];
+      EXPECT_EQ(old->value, "old");
+    } else {
+      EXPECT_EQ(old, nullptr) << keys[i];
+    }
+    EXPECT_EQ(run.Get(keys[i] + "x", UINT64_MAX), nullptr);
+  }
+  SortedRun empty({});
+  EXPECT_EQ(empty.Get("key0", UINT64_MAX), nullptr);
 }
 
 TEST(SortedRunTest, MergeKeepsNewestAndSnapshotVersions) {
@@ -236,8 +369,21 @@ TEST(WriteBatchTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->ops()[2].value.size(), 300u);
 }
 
+TEST(WriteBatchTest, DecodeRejectsUnknownOpType) {
+  WriteBatch batch;
+  batch.Put("alpha", "1");
+  std::string data = batch.Encode();
+  // Layout: varint count (1 byte here), then the op-type byte.
+  ASSERT_EQ(data[1], static_cast<char>(ValueType::kPut));
+  data[1] = 7;
+  auto decoded = WriteBatch::Decode(data);
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+}
+
 // Property test: random workload against a std::map reference model, with
-// aggressive flush/compaction settings, across several seeds.
+// aggressive flush/compaction settings, across several seeds. Snapshots
+// taken at random steps are read back against the model as it was then,
+// across the flushes and compactions that follow.
 class KvPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KvPropertyTest, MatchesReferenceModel) {
@@ -246,8 +392,22 @@ TEST_P(KvPropertyTest, MatchesReferenceModel) {
   options.max_runs_before_compaction = 3;
   KvStore kv(options);
   ASSERT_TRUE(kv.Open().ok());
-  std::map<std::string, std::string> model;
+  using Model = std::map<std::string, std::string>;
+  Model model;
+  std::vector<std::pair<uint64_t, Model>> snapshots;  // seq, model then
   Rng rng(GetParam());
+
+  auto expect_matches = [&](const std::string& key, uint64_t snap,
+                            const Model& m) {
+    auto got = kv.Get(key, snap);
+    auto it = m.find(key);
+    if (it == m.end()) {
+      EXPECT_TRUE(got.status().IsNotFound()) << key << "@" << snap;
+    } else {
+      ASSERT_TRUE(got.ok()) << key << "@" << snap;
+      EXPECT_EQ(*got, it->second) << key << "@" << snap;
+    }
+  };
 
   for (int step = 0; step < 3000; step++) {
     std::string key = "k" + std::to_string(rng.Uniform(200));
@@ -260,20 +420,28 @@ TEST_P(KvPropertyTest, MatchesReferenceModel) {
       ASSERT_TRUE(kv.Delete(key).ok());
       model.erase(key);
     } else if (action == 8) {
-      auto got = kv.Get(key);
-      auto it = model.find(key);
-      if (it == model.end()) {
-        EXPECT_TRUE(got.status().IsNotFound()) << key;
-      } else {
-        ASSERT_TRUE(got.ok()) << key;
-        EXPECT_EQ(*got, it->second);
+      expect_matches(key, UINT64_MAX, model);
+      if (!snapshots.empty()) {
+        const auto& [snap, then] = snapshots[rng.Uniform(snapshots.size())];
+        expect_matches(key, snap, then);
       }
     } else {
       auto rows = kv.Scan("k", "l");
       EXPECT_EQ(rows.size(), model.size());
     }
+    // Keep up to four snapshots open, replacing a random one now and then
+    // so compaction sees both pinned and released versions.
+    if (rng.Uniform(50) == 0) {
+      if (snapshots.size() == 4) {
+        size_t victim = rng.Uniform(snapshots.size());
+        kv.ReleaseSnapshot(snapshots[victim].first);
+        snapshots.erase(snapshots.begin() + static_cast<ptrdiff_t>(victim));
+      }
+      snapshots.emplace_back(kv.GetSnapshot(), model);
+    }
   }
-  // Final full comparison.
+  EXPECT_GT(kv.stats().compactions, 0u);
+  // Final full comparison, at the latest state and at every open snapshot.
   auto rows = kv.Scan("", "");
   ASSERT_EQ(rows.size(), model.size());
   auto it = model.begin();
@@ -281,6 +449,12 @@ TEST_P(KvPropertyTest, MatchesReferenceModel) {
     EXPECT_EQ(k, it->first);
     EXPECT_EQ(v, it->second);
     ++it;
+  }
+  for (const auto& [snap, then] : snapshots) {
+    for (int i = 0; i < 200; i++) {
+      expect_matches("k" + std::to_string(i), snap, then);
+    }
+    kv.ReleaseSnapshot(snap);
   }
 }
 
