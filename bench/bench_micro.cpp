@@ -32,8 +32,8 @@ void BM_VarintRoundTrip(benchmark::State& state) {
     std::string buf;
     PutVarint64(&buf, 0x123456789aULL);
     Decoder dec(buf);
-    uint64_t v;
-    dec.GetVarint64(&v);
+    uint64_t v = 0;
+    if (!dec.GetVarint64(&v)) state.SkipWithError("varint decode failed");
     benchmark::DoNotOptimize(v);
   }
 }
@@ -65,16 +65,68 @@ void BM_RecordEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordEncodeDecode);
 
-void BM_MemTableAdd(benchmark::State& state) {
-  MemTable mt;
-  uint64_t seq = 0;
+// Write-path fixtures on TafDB-shaped keys (8-byte parent id + name, longer
+// than the std::string SSO limit) and 48-byte values, at 50k keys.
+constexpr int kAddKeys = 50000;
+
+std::vector<std::string> TafDbKeys() {
+  std::vector<std::string> keys;
+  for (int i = 0; i < kAddKeys; i++) {
+    keys.push_back(
+        InodeKey::IdRecord(4096, "file-" + std::to_string(i) + ".dat")
+            .Encode());
+  }
   Rng rng(1);
+  for (size_t i = keys.size() - 1; i > 0; i--) {
+    std::swap(keys[i], keys[rng.Uniform(i + 1)]);
+  }
+  return keys;
+}
+
+// Each Add inserts a key the memtable does not hold yet; a full memtable is
+// replaced (untimed) by an empty one.
+void BM_MemTableAddNewKey(benchmark::State& state) {
+  const auto keys = TafDbKeys();
+  const std::string value(48, 'v');
+  auto mt = std::make_unique<MemTable>();
+  uint64_t seq = 0;
+  size_t i = 0;
   for (auto _ : state) {
-    mt.Add("key" + std::to_string(rng.Uniform(100000)), "value", ++seq,
-           ValueType::kPut);
+    if (i == keys.size()) {
+      state.PauseTiming();
+      mt = std::make_unique<MemTable>();
+      i = 0;
+      state.ResumeTiming();
+    }
+    mt->Add(keys[i++], value, ++seq, ValueType::kPut);
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_MemTableAdd);
+BENCHMARK(BM_MemTableAddNewKey);
+
+// Each Add writes a newer version of one of 50k stored keys (a parent attr
+// bump, a setattr, a tombstone); every 500k versions the memtable is rebuilt
+// (untimed) so it stays near the flush size.
+void BM_MemTableAddNewVersion(benchmark::State& state) {
+  const auto keys = TafDbKeys();
+  const std::string value(48, 'v');
+  std::unique_ptr<MemTable> mt;
+  uint64_t seq = 0;
+  size_t added = 0;
+  Rng rng(2);
+  for (auto _ : state) {
+    if (added % 500000 == 0) {
+      state.PauseTiming();
+      mt = std::make_unique<MemTable>();
+      for (const auto& key : keys) mt->Add(key, value, ++seq, ValueType::kPut);
+      state.ResumeTiming();
+    }
+    mt->Add(keys[rng.Uniform(keys.size())], value, ++seq, ValueType::kPut);
+    benchmark::ClobberMemory();
+    added++;
+  }
+}
+BENCHMARK(BM_MemTableAddNewVersion);
 
 // Point-read fixtures: state.range(0) keys, state.range(1) = 1 for hits (a
 // stored key, in random order) or 0 for misses (an absent key that sorts
@@ -150,8 +202,9 @@ void BM_ExecutePrimitiveCreate(benchmark::State& state) {
   PrimitiveOp bootstrap;
   bootstrap.inserts.push_back(InodeRecord::MakeDirAttr(1, 1, 0755, 0, 0));
   (void)ExecutePrimitive(bootstrap, &kv);
-  uint64_t seq = 0;
+  InodeId next_id = 1;
   for (auto _ : state) {
+    const InodeId id = ++next_id;
     Predicate check;
     check.key = InodeKey::AttrRecord(1);
     check.kind = Predicate::Kind::kExistsWithType;
@@ -160,7 +213,7 @@ void BM_ExecutePrimitiveCreate(benchmark::State& state) {
     bump.key = InodeKey::AttrRecord(1);
     bump.children_delta = 1;
     auto op = PrimitiveOp::InsertWithUpdate(
-        InodeRecord::MakeIdRecord(1, "f" + std::to_string(seq++), seq,
+        InodeRecord::MakeIdRecord(1, "f" + std::to_string(id), id,
                                   InodeType::kFile),
         check, bump);
     benchmark::DoNotOptimize(ExecutePrimitive(op, &kv));

@@ -128,7 +128,9 @@ ThreadState& State() {
 ClassInfo InfoOf(uint32_t cls) {
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
-  if (cls == 0 || cls > r.classes.size()) return ClassInfo{"<unknown>", 0};
+  if (cls == 0 || cls > r.classes.size()) {
+    return ClassInfo{"<unknown>", 0, RpcHoldPolicy::kNeverAcrossRpc, ""};
+  }
   return r.classes[cls - 1];
 }
 

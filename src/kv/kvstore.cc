@@ -144,36 +144,36 @@ Status KvStore::Delete(std::string_view key, bool sync) {
   return Write(b, sync);
 }
 
-const KvEntry* KvStore::Find(std::string_view key,
-                             uint64_t snapshot_seq) const {
+std::optional<KvView> KvStore::Find(std::string_view key,
+                                    uint64_t snapshot_seq) const {
   gets_.fetch_add(1, std::memory_order_relaxed);
   CFS_SHARED_READ(active_, version_mu_);
   // Per key, source order equals recency order: active > immutables (newest
   // first) > runs (newest first).
-  if (const KvEntry* e = active_->Get(key, snapshot_seq)) return e;
+  if (auto v = active_->Get(key, snapshot_seq)) return v;
   for (auto it = immutable_.rbegin(); it != immutable_.rend(); ++it) {
-    if (const KvEntry* e = (*it)->Get(key, snapshot_seq)) return e;
+    if (auto v = (*it)->Get(key, snapshot_seq)) return v;
   }
   for (const auto& run : runs_) {
-    if (const KvEntry* e = run->Get(key, snapshot_seq)) return e;
+    if (auto v = run->Get(key, snapshot_seq)) return v;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 StatusOr<std::string> KvStore::Get(std::string_view key,
                                    uint64_t snapshot_seq) const {
   ReaderMutexLock vlock(version_mu_);
-  const KvEntry* e = Find(key, snapshot_seq);
-  if (e == nullptr || e->type == ValueType::kDelete) {
+  auto v = Find(key, snapshot_seq);
+  if (!v || v->type == ValueType::kDelete) {
     return Status::NotFound();
   }
-  return e->value;
+  return std::string(v->value);
 }
 
 bool KvStore::Contains(std::string_view key, uint64_t snapshot_seq) const {
   ReaderMutexLock vlock(version_mu_);
-  const KvEntry* e = Find(key, snapshot_seq);
-  return e != nullptr && e->type == ValueType::kPut;
+  auto v = Find(key, snapshot_seq);
+  return v && v->type == ValueType::kPut;
 }
 
 std::vector<std::pair<std::string, std::string>> KvStore::Scan(
@@ -182,16 +182,13 @@ std::vector<std::pair<std::string, std::string>> KvStore::Scan(
   scans_.fetch_add(1, std::memory_order_relaxed);
   ReaderMutexLock vlock(version_mu_);
   CFS_SHARED_READ(active_, version_mu_);
-  // Merge newest-wins per key across all sources.
-  std::map<std::string, KvEntry, std::less<>> merged;
-  auto absorb = [&](const KvEntry& e) {
-    if (e.seq > snapshot_seq) return true;
-    auto it = merged.find(e.key);
-    if (it == merged.end()) {
-      merged.emplace(e.key, e);
-    } else if (e.seq > it->second.seq) {
-      it->second = e;
-    }
+  // Merge newest-wins per key across all sources. The views stay valid while
+  // version_mu_ pins the sources; the output copies them before it drops.
+  std::map<std::string_view, KvView> merged;
+  auto absorb = [&](const KvView& v) {
+    if (v.seq > snapshot_seq) return true;
+    auto [it, inserted] = merged.emplace(v.key, v);
+    if (!inserted && v.seq > it->second.seq) it->second = v;
     return true;
   };
   active_->VisitRange(start, end, absorb);
@@ -202,9 +199,9 @@ std::vector<std::pair<std::string, std::string>> KvStore::Scan(
     run->VisitRange(start, end, absorb);
   }
   std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [key, entry] : merged) {
-    if (entry.type == ValueType::kDelete) continue;
-    out.emplace_back(key, entry.value);
+  for (const auto& [key, v] : merged) {
+    if (v.type == ValueType::kDelete) continue;
+    out.emplace_back(key, v.value);
     if (limit != 0 && out.size() >= limit) break;
   }
   return out;
@@ -247,8 +244,9 @@ Status KvStore::Flush() {
   }
   std::vector<KvEntry> entries;
   entries.reserve(sealed->EntryCount());
-  sealed->VisitAll([&](const KvEntry& e) {
-    entries.push_back(e);
+  sealed->VisitAll([&](const KvView& v) {
+    entries.push_back(
+        KvEntry{std::string(v.key), std::string(v.value), v.seq, v.type});
     return true;
   });
   auto run = std::make_shared<SortedRun>(std::move(entries));

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -113,8 +114,9 @@ class KvStore {
   Status WriteLocked(const WriteBatch& batch, bool sync) REQUIRES(write_mu_);
   uint64_t OldestSnapshotLocked() const;
   // Newest version of `key` at `snapshot_seq` across every source (a
-  // tombstone included), or nullptr. Counts one get.
-  const KvEntry* Find(std::string_view key, uint64_t snapshot_seq) const
+  // tombstone included), or nullopt. Counts one get. The view points into
+  // its source, which only version_mu_ keeps alive: copy out under it.
+  std::optional<KvView> Find(std::string_view key, uint64_t snapshot_seq) const
       REQUIRES_SHARED(version_mu_);
 
   KvOptions options_;  // tsa-coverage: allow(immutable after construction)

@@ -1,43 +1,34 @@
 #include "src/kv/memtable.h"
 
-#include <cstdlib>
 #include <new>
-#include <vector>
-
-#include "src/common/check.h"
 
 namespace cfs {
 
 MemTable::MemTable() : buckets_(new std::atomic<Node*>[kBuckets]()) {
-  KvEntry sentinel;
-  head_ = NewNode(std::move(sentinel), kMaxHeight);
-  for (int i = 0; i < kMaxHeight; i++) {
-    head_->SetNext(i, nullptr);
-  }
+  head_ = NewNode("", kMaxHeight, 0);
 }
 
-MemTable::~MemTable() {
-  Node* n = head_;
-  while (n != nullptr) {
-    Node* next = n->Next(0);
-    n->entry.~KvEntry();
-    std::free(n);
-    n = next;
-  }
-}
-
-MemTable::Node* MemTable::NewNode(KvEntry entry, int height) {
-  size_t size = sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1);
-  void* mem = std::malloc(size);
-  CFS_CHECK(mem != nullptr);
-  Node* node = static_cast<Node*>(mem);
-  new (&node->entry) KvEntry(std::move(entry));
-  node->height = height;
-  new (&node->hash_next) std::atomic<Node*>(nullptr);
-  for (int i = 0; i < height; i++) {
+MemTable::Node* MemTable::NewNode(std::string_view key, int height,
+                                  uint32_t tag) {
+  size_t size = sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1) +
+                key.size();
+  Node* node = new (arena_.allocate(size, alignof(Node)))
+      Node{{nullptr}, {nullptr}, tag, static_cast<uint32_t>(key.size()),
+           height, {}};
+  for (int i = 1; i < height; i++) {
     new (&node->next[i]) std::atomic<Node*>(nullptr);
   }
+  key.copy(reinterpret_cast<char*>(node->next + height), key.size());
   return node;
+}
+
+MemTable::Version* MemTable::NewVersion(std::string_view value, uint64_t seq,
+                                        ValueType type) {
+  Version* v = new (arena_.allocate(sizeof(Version) + value.size(),
+                                     alignof(Version)))
+      Version{{nullptr}, seq, static_cast<uint32_t>(value.size()), type};
+  value.copy(reinterpret_cast<char*>(v + 1), value.size());
+  return v;
 }
 
 int MemTable::RandomHeight() {
@@ -49,16 +40,12 @@ int MemTable::RandomHeight() {
 }
 
 MemTable::Node* MemTable::FindGreaterOrEqual(std::string_view key,
-                                             uint64_t seq,
                                              Node** prev) const {
   Node* x = head_;
   int level = max_height_.load(std::memory_order_acquire) - 1;
   for (;;) {
     Node* next = x->Next(level);
-    bool go_right =
-        next != nullptr &&
-        InternalLess(next->entry.key, next->entry.seq, key, seq);
-    if (go_right) {
+    if (next != nullptr && next->key() < key) {
       x = next;
     } else {
       if (prev != nullptr) prev[level] = x;
@@ -68,85 +55,88 @@ MemTable::Node* MemTable::FindGreaterOrEqual(std::string_view key,
   }
 }
 
+// inline: it is on the path of every Add and every point read.
+inline MemTable::Node* MemTable::FindNode(std::string_view key, uint64_t hash,
+                                          std::atomic<Node*>** link) const {
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  std::atomic<Node*>* at = &buckets_[hash & (kBuckets - 1)];
+  Node* n = at->load(std::memory_order_acquire);
+  while (n != nullptr && (n->tag != tag || n->key() != key)) {
+    at = &n->hash_next;
+    n = at->load(std::memory_order_acquire);
+  }
+  if (link != nullptr) *link = at;
+  return n;
+}
+
 void MemTable::Add(std::string_view key, std::string_view value, uint64_t seq,
                    ValueType type) {
-  KvEntry entry{std::string(key), std::string(value), seq, type};
-  size_t cost = key.size() + value.size() + 48;
-  Node* prev[kMaxHeight];
-  FindGreaterOrEqual(key, seq, prev);
-  int height = RandomHeight();
-  int max_h = max_height_.load(std::memory_order_relaxed);
-  if (height > max_h) {
-    for (int i = max_h; i < height; i++) {
-      prev[i] = head_;
-    }
-    max_height_.store(height, std::memory_order_release);
-  }
+  const size_t cost = key.size() + value.size() + 48;
   const uint64_t h = KeyHash(key);
-  Node* node = NewNode(std::move(entry), height);
-  node->tag = static_cast<uint32_t>(h >> 32);
-  for (int i = 0; i < height; i++) {
-    node->SetNext(i, prev[i]->Next(i));
-    prev[i]->SetNext(i, node);
-  }
-  // Publish in the index only now that the node is linked on level 0, so a
-  // reader that finds it can step to older versions. Single writer: relaxed
-  // loads of the chain suffice here; readers see only release stores.
-  std::atomic<Node*>* link = &buckets_[h & (kBuckets - 1)];
-  Node* cur = link->load(std::memory_order_relaxed);
-  while (cur != nullptr && (cur->tag != node->tag || cur->entry.key != key)) {
-    link = &cur->hash_next;
-    cur = link->load(std::memory_order_relaxed);
-  }
-  if (cur == nullptr || cur->entry.seq < seq) {
-    // A new key goes at the chain's tail. A newer version takes the old
-    // node's place; a reader already on the old node still follows its
-    // unchanged hash_next.
-    node->hash_next.store(
-        cur == nullptr ? nullptr : cur->hash_next.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+  std::atomic<Node*>* link = nullptr;
+  if (Node* node = FindNode(key, h, &link)) {
+    // A version of a known key: splice it into the chain in seq-desc order.
+    // Single writer: relaxed loads suffice; the release store publishes the
+    // initialized record to readers already on the chain.
+    Version* v = NewVersion(value, seq, type);
+    std::atomic<Version*>* at = &node->versions;
+    Version* cur = at->load(std::memory_order_relaxed);
+    while (cur != nullptr && cur->seq > seq) {
+      at = &cur->older;
+      cur = at->load(std::memory_order_relaxed);
+    }
+    v->older.store(cur, std::memory_order_relaxed);
+    at->store(v, std::memory_order_release);
+  } else {
+    Node* prev[kMaxHeight];
+    FindGreaterOrEqual(key, prev);
+    int height = RandomHeight();
+    int max_h = max_height_.load(std::memory_order_relaxed);
+    if (height > max_h) {
+      for (int i = max_h; i < height; i++) {
+        prev[i] = head_;
+      }
+      max_height_.store(height, std::memory_order_release);
+    }
+    node = NewNode(key, height, static_cast<uint32_t>(h >> 32));
+    // The first version goes right behind its node, so a point read of a
+    // key with one version touches one contiguous stretch of the arena.
+    node->versions.store(NewVersion(value, seq, type),
+                         std::memory_order_relaxed);
+    for (int i = 0; i < height; i++) {
+      node->SetNext(i, prev[i]->Next(i));
+      prev[i]->SetNext(i, node);
+    }
+    // A new key goes at its bucket chain's null tail.
     link->store(node, std::memory_order_release);
   }
-  // else: an older version than the chained one; it sits behind it on
-  // level 0, where snapshot reads step to it.
   bytes_.fetch_add(cost, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-const KvEntry* MemTable::Get(std::string_view key,
-                             uint64_t snapshot_seq) const {
-  const uint64_t h = KeyHash(key);
-  const uint32_t tag = static_cast<uint32_t>(h >> 32);
-  const Node* n = buckets_[h & (kBuckets - 1)].load(std::memory_order_acquire);
-  while (n != nullptr && (n->tag != tag || n->entry.key != key)) {
-    n = n->hash_next.load(std::memory_order_acquire);
+std::optional<KvView> MemTable::Get(std::string_view key,
+                                    uint64_t snapshot_seq) const {
+  const Node* n = FindNode(key, KeyHash(key), nullptr);
+  if (n == nullptr) return std::nullopt;
+  for (const Version* v = n->versions.load(std::memory_order_acquire);
+       v != nullptr; v = v->older.load(std::memory_order_acquire)) {
+    if (v->seq <= snapshot_seq) {
+      return KvView{n->key(), v->value(), v->seq, v->type};
+    }
   }
-  if (n == nullptr) return nullptr;
-  // n is the newest version; older ones follow it on level 0.
-  while (n->entry.seq > snapshot_seq) {
-    n = n->Next(0);
-    if (n == nullptr || n->entry.key != key) return nullptr;
-  }
-  return &n->entry;
+  return std::nullopt;
 }
 
-void MemTable::VisitRange(
-    std::string_view start, std::string_view end,
-    const std::function<bool(const KvEntry&)>& visit) const {
-  Node* n = FindGreaterOrEqual(start, UINT64_MAX, nullptr);
-  while (n != nullptr) {
-    if (!end.empty() && n->entry.key >= end) return;
-    if (!visit(n->entry)) return;
-    n = n->Next(0);
-  }
-}
-
-void MemTable::VisitAll(
-    const std::function<bool(const KvEntry&)>& visit) const {
-  Node* n = head_->Next(0);
-  while (n != nullptr) {
-    if (!visit(n->entry)) return;
-    n = n->Next(0);
+void MemTable::VisitRange(std::string_view start, std::string_view end,
+                          const KvVisitor& visit) const {
+  for (const Node* n = FindGreaterOrEqual(start, nullptr); n != nullptr;
+       n = n->Next(0)) {
+    const std::string_view key = n->key();
+    if (!end.empty() && key >= end) return;
+    for (const Version* v = n->versions.load(std::memory_order_acquire);
+         v != nullptr; v = v->older.load(std::memory_order_acquire)) {
+      if (!visit(KvView{key, v->value(), v->seq, v->type})) return;
+    }
   }
 }
 

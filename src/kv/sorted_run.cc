@@ -7,6 +7,21 @@
 #include "src/common/check.h"
 
 namespace cfs {
+namespace {
+
+// Orders by key asc, then seq desc (newer versions first).
+bool InternalLess(std::string_view ak, uint64_t aseq, std::string_view bk,
+                  uint64_t bseq) {
+  int c = ak.compare(bk);
+  if (c != 0) return c < 0;
+  return aseq > bseq;
+}
+
+KvView ViewOf(const KvEntry& e) {
+  return KvView{e.key, e.value, e.seq, e.type};
+}
+
+}  // namespace
 
 SortedRun::SortedRun(std::vector<KvEntry> entries)
     : entries_(std::move(entries)) {
@@ -29,9 +44,9 @@ SortedRun::SortedRun(std::vector<KvEntry> entries)
   }
 }
 
-const KvEntry* SortedRun::Get(std::string_view key,
-                              uint64_t snapshot_seq) const {
-  if (index_.empty()) return nullptr;
+std::optional<KvView> SortedRun::Get(std::string_view key,
+                                     uint64_t snapshot_seq) const {
+  if (index_.empty()) return std::nullopt;
   const size_t mask = index_.size() - 1;
   for (size_t slot = KeyHash(key) & mask; index_[slot] != kEmptySlot;
        slot = (slot + 1) & mask) {
@@ -39,23 +54,22 @@ const KvEntry* SortedRun::Get(std::string_view key,
     // The key's newest entry; older versions follow it.
     for (size_t pos = index_[slot];
          pos < entries_.size() && entries_[pos].key == key; pos++) {
-      if (entries_[pos].seq <= snapshot_seq) return &entries_[pos];
+      if (entries_[pos].seq <= snapshot_seq) return ViewOf(entries_[pos]);
     }
-    return nullptr;
+    return std::nullopt;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
-void SortedRun::VisitRange(
-    std::string_view start, std::string_view end,
-    const std::function<bool(const KvEntry&)>& visit) const {
+void SortedRun::VisitRange(std::string_view start, std::string_view end,
+                           const KvVisitor& visit) const {
   auto it = std::lower_bound(entries_.begin(), entries_.end(), start,
                              [](const KvEntry& e, std::string_view k) {
                                return InternalLess(e.key, e.seq, k, UINT64_MAX);
                              });
   for (; it != entries_.end(); ++it) {
     if (!end.empty() && it->key >= end) return;
-    if (!visit(*it)) return;
+    if (!visit(ViewOf(*it))) return;
   }
 }
 

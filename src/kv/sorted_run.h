@@ -8,8 +8,9 @@
 #define CFS_KV_SORTED_RUN_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -17,18 +18,26 @@
 
 namespace cfs {
 
+// An owned version: the unit of a sorted run.
+struct KvEntry {
+  std::string key;
+  std::string value;
+  uint64_t seq = 0;
+  ValueType type = ValueType::kPut;
+};
+
 class SortedRun {
  public:
   // `entries` must already be in internal order.
   explicit SortedRun(std::vector<KvEntry> entries);
 
-  // Newest version of key visible at snapshot_seq, or nullptr. The entry
+  // Newest version of key visible at snapshot_seq, or nullopt. The view
   // lives as long as the run.
-  const KvEntry* Get(std::string_view key, uint64_t snapshot_seq) const;
+  std::optional<KvView> Get(std::string_view key, uint64_t snapshot_seq) const;
 
   // Visits entries with key in [start, end) (end empty = unbounded).
   void VisitRange(std::string_view start, std::string_view end,
-                  const std::function<bool(const KvEntry&)>& visit) const;
+                  const KvVisitor& visit) const;
 
   size_t size() const { return entries_.size(); }
   const std::vector<KvEntry>& entries() const { return entries_; }

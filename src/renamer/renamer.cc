@@ -231,6 +231,11 @@ Status Renamer::Rename(const RenameRequest& req) {
   // the outcome equals a crash between the steps and the GC reclaims the
   // attribute — the file is gone, a legal unlink serialization.
   Status commit_status;
+  // Whether step B removed the destination entry it read under the locks.
+  // Fast-path renames and unlinks take no Renamer locks, so that entry can
+  // be moved or replaced before step B, whose hint guard then skips it; the
+  // inode it named may be live elsewhere, so its attributes stay.
+  bool dst_deleted = false;
   {
     // Step A.
     PrimitiveOp src_op;
@@ -283,7 +288,9 @@ Status Renamer::Rename(const RenameRequest& req) {
       dst_op.updates.push_back(inc);
       TafDbShard* dst_op_shard = tafdb_->ShardFor(req.dst_parent);
       Status step_b = net_->Call(self, dst_op_shard->ServiceNetId(), [&] {
-        return dst_op_shard->ExecutePrimitive(dst_op).status;
+        PrimitiveResult result = dst_op_shard->ExecutePrimitive(dst_op);
+        dst_deleted = result.status.ok() && result.deleted > 0;
+        return result.status;
       });
       if (!step_b.ok()) {
         // Compensate the retired destination-directory attribute and step
@@ -316,7 +323,7 @@ Status Renamer::Rename(const RenameRequest& req) {
       PrimitiveOp reparent_op;
       UpdateSpec reparent;
       reparent.key = InodeKey::AttrRecord(src->id);
-      reparent.lww.parent = req.dst_parent;
+      reparent.parent = req.dst_parent;
       reparent.lww.ctime = ts;
       reparent.lww.ts = ts;
       reparent.must_exist = false;
@@ -328,7 +335,7 @@ Status Renamer::Rename(const RenameRequest& req) {
     }
 
     // Replaced file attribute in the non-tiered layout.
-    if (commit_status.ok() && dst_exists &&
+    if (commit_status.ok() && dst_deleted &&
         dst->type != InodeType::kDirectory && filestore_ == nullptr) {
       PrimitiveOp retire;
       DeleteSpec del;
@@ -389,7 +396,7 @@ Status Renamer::Rename(const RenameRequest& req) {
 
   // 9. Replaced file attributes in FileStore are orphaned by design
   //    (deterministic ordering, Fig 7) and reclaimed asynchronously.
-  if (dst_exists && dst->type != InodeType::kDirectory &&
+  if (dst_deleted && dst->type != InodeType::kDirectory &&
       options_.tiered_attrs && filestore_ != nullptr) {
     filestore_->UnrefAsync(dst->id);
   }

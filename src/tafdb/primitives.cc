@@ -116,10 +116,11 @@ std::string PrimitiveOp::Encode() const {
     PutVarint64(&out, ZigZag(u.size_delta));
     out.push_back(u.children_delta_auto ? 1 : 0);
     out.push_back(u.must_exist ? 1 : 0);
+    // Bit 64 carries UpdateSpec::parent, which is not LWW-gated.
     uint32_t lww_bits = (u.lww.mtime ? 1u : 0) | (u.lww.ctime ? 2u : 0) |
                         (u.lww.mode ? 4u : 0) | (u.lww.uid ? 8u : 0) |
                         (u.lww.gid ? 16u : 0) | (u.lww.size ? 32u : 0) |
-                        (u.lww.parent ? 64u : 0);
+                        (u.parent ? 64u : 0);
     PutVarint32(&out, lww_bits);
     if (u.lww.mtime) PutVarint64(&out, *u.lww.mtime);
     if (u.lww.ctime) PutVarint64(&out, *u.lww.ctime);
@@ -127,7 +128,7 @@ std::string PrimitiveOp::Encode() const {
     if (u.lww.uid) PutVarint32(&out, *u.lww.uid);
     if (u.lww.gid) PutVarint32(&out, *u.lww.gid);
     if (u.lww.size) PutVarint64(&out, ZigZag(*u.lww.size));
-    if (u.lww.parent) PutVarint64(&out, *u.lww.parent);
+    if (u.parent) PutVarint64(&out, *u.parent);
     PutVarint64(&out, u.lww.ts);
   }
   return out;
@@ -223,7 +224,7 @@ StatusOr<PrimitiveOp> PrimitiveOp::Decode(std::string_view data) {
     }
     if (bits & 64) {
       if (!dec.GetVarint64(&u64)) return fail();
-      u.lww.parent = u64;
+      u.parent = u64;
     }
     if (!dec.GetVarint64(&u.lww.ts)) return fail();
     op.updates.push_back(std::move(u));
@@ -278,6 +279,10 @@ void ApplyUpdateToRecord(const UpdateSpec& upd, int64_t auto_children_delta,
   if (children_delta != 0) merged->Set(InodeRecord::kFieldChildren);
   if (upd.links_delta != 0) merged->Set(InodeRecord::kFieldLinks);
   if (upd.size_delta != 0) merged->Set(InodeRecord::kFieldSize);
+  if (upd.parent) {
+    merged->parent = *upd.parent;
+    merged->Set(InodeRecord::kFieldParent);
+  }
   // Last-writer-wins: only a newer timestamp overwrites.
   if (!upd.lww.empty() && upd.lww.ts >= merged->lww_ts) {
     if (upd.lww.mtime) {
@@ -303,10 +308,6 @@ void ApplyUpdateToRecord(const UpdateSpec& upd, int64_t auto_children_delta,
     if (upd.lww.size) {
       merged->size = *upd.lww.size;
       merged->Set(InodeRecord::kFieldSize);
-    }
-    if (upd.lww.parent) {
-      merged->parent = *upd.lww.parent;
-      merged->Set(InodeRecord::kFieldParent);
     }
     merged->lww_ts = upd.lww.ts;
     merged->Set(InodeRecord::kFieldLwwTs);

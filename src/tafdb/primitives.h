@@ -77,13 +77,10 @@ struct LwwAssign {
   std::optional<uint32_t> uid;
   std::optional<uint32_t> gid;
   std::optional<int64_t> size;  // absolute size (setattr/truncate)
-  // Reparenting (normal-path directory rename, §4.3): moves the directory's
-  // ancestor backpointer.
-  std::optional<InodeId> parent;
   uint64_t ts = 0;
 
   bool empty() const {
-    return !mtime && !ctime && !mode && !uid && !gid && !size && !parent;
+    return !mtime && !ctime && !mode && !uid && !gid && !size;
   }
 };
 
@@ -94,6 +91,13 @@ struct UpdateSpec {
   int64_t links_delta = 0;
   int64_t size_delta = 0;
   LwwAssign lww;
+  // Reparenting (normal-path directory rename, §4.3): moves the directory's
+  // ancestor backpointer. Applied unconditionally, not last-writer-wins:
+  // the Renamer's entry locks already order every move of one directory,
+  // and the record's single LWW stamp is also bumped by mtime updates from
+  // ops inside the directory, which would make a move stamped before them
+  // lose and leave the backpointer naming the old parent.
+  std::optional<InodeId> parent;
   // rename support: children_delta is computed inside the shard as
   // (#inserts - #records actually deleted) — "determined by TafDB internal"
   // (paper §4.3).

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <deque>
+#include <ostream>
 #include <thread>
 
 #include "src/core/cfs.h"
@@ -29,6 +30,11 @@ struct FuzzParam {
   bool primitives;
   uint64_t seed;
 };
+
+// gtest otherwise prints the param's raw bytes, padding included.
+void PrintTo(const FuzzParam& p, std::ostream* os) {
+  *os << (p.primitives ? "FullCfs" : "CfsBase") << " seed " << p.seed;
+}
 
 class FuzzInvariantsTest : public ::testing::TestWithParam<FuzzParam> {};
 
@@ -191,9 +197,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzParam{true, 1}, FuzzParam{true, 2},
                       FuzzParam{true, 3}, FuzzParam{false, 1},
                       FuzzParam{false, 2}),
-    [](const ::testing::TestParamInfo<FuzzParam>& info) {
-      return std::string(info.param.primitives ? "FullCfs" : "CfsBase") +
-             "Seed" + std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<FuzzParam>& p) {
+      return std::string(p.param.primitives ? "FullCfs" : "CfsBase") +
+             "Seed" + std::to_string(p.param.seed);
     });
 
 }  // namespace

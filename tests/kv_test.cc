@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/common/random.h"
@@ -20,22 +21,22 @@ TEST(MemTableTest, VersionedGet) {
   MemTable mt;
   mt.Add("k", "v1", 1, ValueType::kPut);
   mt.Add("k", "v2", 5, ValueType::kPut);
-  const KvEntry* latest = mt.Get("k", UINT64_MAX);
-  ASSERT_NE(latest, nullptr);
+  auto latest = mt.Get("k", UINT64_MAX);
+  ASSERT_TRUE(latest);
   EXPECT_EQ(latest->value, "v2");
-  const KvEntry* old = mt.Get("k", 3);
-  ASSERT_NE(old, nullptr);
+  auto old = mt.Get("k", 3);
+  ASSERT_TRUE(old);
   EXPECT_EQ(old->value, "v1");
-  EXPECT_EQ(mt.Get("k", 0), nullptr);
-  EXPECT_EQ(mt.Get("other", UINT64_MAX), nullptr);
+  EXPECT_FALSE(mt.Get("k", 0));
+  EXPECT_FALSE(mt.Get("other", UINT64_MAX));
 }
 
 TEST(MemTableTest, TombstoneIsVisibleVersion) {
   MemTable mt;
   mt.Add("k", "v", 1, ValueType::kPut);
   mt.Add("k", "", 2, ValueType::kDelete);
-  const KvEntry* e = mt.Get("k", UINT64_MAX);
-  ASSERT_NE(e, nullptr);
+  auto e = mt.Get("k", UINT64_MAX);
+  ASSERT_TRUE(e);
   EXPECT_EQ(e->type, ValueType::kDelete);
 }
 
@@ -49,7 +50,7 @@ TEST(MemTableTest, OutOfOrderVersions) {
   EXPECT_EQ(mt.Get("k", UINT64_MAX)->value, "v5");
   EXPECT_EQ(mt.Get("k", 4)->value, "v3");
   EXPECT_EQ(mt.Get("k", 2)->value, "v1");
-  EXPECT_EQ(mt.Get("k", 0), nullptr);
+  EXPECT_FALSE(mt.Get("k", 0));
 }
 
 // More distinct keys than index buckets, so every chain holds several keys,
@@ -76,8 +77,8 @@ TEST(MemTableTest, IndexCollisionsAndVersions) {
   }
   for (int i = 0; i < kKeys; i++) {
     std::string key = "key" + std::to_string(i);
-    const KvEntry* e = mt.Get(key, UINT64_MAX);
-    ASSERT_NE(e, nullptr) << key;
+    auto e = mt.Get(key, UINT64_MAX);
+    ASSERT_TRUE(e) << key;
     ASSERT_EQ(e->key, key);
     if (i >= kVersioned) {
       EXPECT_EQ(e->value, "v0");
@@ -87,20 +88,22 @@ TEST(MemTableTest, IndexCollisionsAndVersions) {
     for (int r = 0; r < kVersions; r++) {
       uint64_t at = r == 0 ? base_seq
                            : base_seq + (r - 1) * kVersioned + i + 1;
-      const KvEntry* v = mt.Get(key, at);
-      ASSERT_NE(v, nullptr) << key << "@" << at;
+      auto v = mt.Get(key, at);
+      ASSERT_TRUE(v) << key << "@" << at;
       EXPECT_EQ(v->key, key);
       EXPECT_EQ(v->value, "v" + std::to_string(r)) << key << "@" << at;
     }
-    EXPECT_EQ(mt.Get(key, static_cast<uint64_t>(i)), nullptr);
+    EXPECT_FALSE(mt.Get(key, static_cast<uint64_t>(i)));
   }
   for (int i = 0; i < 1000; i++) {
-    EXPECT_EQ(mt.Get("miss" + std::to_string(i), UINT64_MAX), nullptr);
+    EXPECT_FALSE(mt.Get("miss" + std::to_string(i), UINT64_MAX));
   }
 }
 
 // One writer adds keys and new versions while four readers look up keys the
-// writer has already published; every read must see a complete entry.
+// writer has already published or may be adding, and visit ranges starting
+// at published keys; every read must see a complete version, and every
+// visit internal order.
 TEST(MemTableTest, ConcurrentReadersWithOneWriter) {
   constexpr int kKeys = 20000;
   MemTable mt;
@@ -111,13 +114,40 @@ TEST(MemTableTest, ConcurrentReadersWithOneWriter) {
     readers.emplace_back([&, t] {
       Rng rng(100 + t);
       int n;
+      uint64_t round = 0;
       while ((n = published.load(std::memory_order_acquire)) < kKeys) {
         if (n == 0) continue;
         int i = static_cast<int>(rng.Uniform(n));
-        const KvEntry* e = mt.Get("key" + std::to_string(i), UINT64_MAX);
-        if (e == nullptr || e->value != "v" + std::to_string(i)) {
-          readers_ok.store(false);
+        const std::string key = "key" + std::to_string(i);
+        if (++round % 16 != 0) {
+          auto e = mt.Get(key, UINT64_MAX);
+          if (!e || e->key != key || e->value != "v" + std::to_string(i)) {
+            readers_ok.store(false);
+          }
+          // A key the writer may be adding right now: absent, or complete.
+          const int ahead = n + static_cast<int>(rng.Uniform(2));
+          auto a = mt.Get("key" + std::to_string(ahead), UINT64_MAX);
+          if (a && a->value != "v" + std::to_string(ahead)) {
+            readers_ok.store(false);
+          }
+          continue;
         }
+        // The range starts at a published key, so that key comes first;
+        // then keys ascend and each key's versions descend by seq.
+        std::string prev_key;
+        uint64_t prev_seq = 0;
+        int seen = 0;
+        mt.VisitRange(key, "", [&](const KvView& v) {
+          bool ok = seen > 0 || v.key == key;
+          ok = ok && (seen == 0 || v.key > prev_key ||
+                      (v.key == prev_key && v.seq < prev_seq));
+          ok = ok && v.value == "v" + std::string(v.key.substr(3));
+          if (!ok) readers_ok.store(false);
+          prev_key = std::string(v.key);
+          prev_seq = v.seq;
+          return ok && ++seen < 64;
+        });
+        if (seen == 0) readers_ok.store(false);
       }
     });
   }
@@ -125,8 +155,8 @@ TEST(MemTableTest, ConcurrentReadersWithOneWriter) {
   for (int i = 0; i < kKeys; i++) {
     mt.Add("key" + std::to_string(i), "v" + std::to_string(i), ++seq,
            ValueType::kPut);
-    // A newer version of an already-published key (same value) replaces
-    // that key's node in its bucket chain under the readers.
+    // A newer version of an already-published key (same value) goes to the
+    // head of that key's version chain under the readers.
     if (i > 0) {
       int j = i / 2;
       mt.Add("key" + std::to_string(j), "v" + std::to_string(j), ++seq,
@@ -138,14 +168,179 @@ TEST(MemTableTest, ConcurrentReadersWithOneWriter) {
   EXPECT_TRUE(readers_ok.load());
 }
 
+// Property test: random keys, versions added out of seq order, and
+// tombstones, against a per-key version model. Checks the full and
+// random-range visits (key asc, seq desc) and Get at random snapshots.
+class MemTablePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemTablePropertyTest, MatchesVersionModel) {
+  struct Version {
+    ValueType type;
+    std::string value;
+  };
+  // key -> seq -> version, newest first.
+  std::map<std::string, std::map<uint64_t, Version, std::greater<>>> model;
+  Rng rng(GetParam());
+  constexpr uint64_t kAdds = 6000;
+  // Sequences 1..kAdds, added in an order that is mostly ascending with
+  // random swaps, so many versions arrive behind newer ones.
+  std::vector<uint64_t> seqs(kAdds);
+  for (uint64_t i = 0; i < kAdds; i++) seqs[i] = i + 1;
+  for (uint64_t i = 0; i < kAdds / 3; i++) {
+    std::swap(seqs[rng.Uniform(kAdds)], seqs[rng.Uniform(kAdds)]);
+  }
+  auto random_key = [&] {
+    // A few hundred keys of 0..40 bytes, one of them empty.
+    uint64_t k = rng.Uniform(400);
+    return k == 0 ? std::string()
+                  : std::string(k % 24, 'p') + "/" + std::to_string(k);
+  };
+  MemTable mt;
+  for (uint64_t seq : seqs) {
+    std::string key = random_key();
+    Version v{rng.Uniform(5) == 0 ? ValueType::kDelete : ValueType::kPut, ""};
+    if (v.type == ValueType::kPut) {
+      v.value = std::string(rng.Uniform(40),
+                            static_cast<char>('a' + seq % 26));
+    }
+    mt.Add(key, v.value, seq, v.type);
+    model[key].emplace(seq, v);
+  }
+  EXPECT_EQ(mt.EntryCount(), kAdds);
+
+  using Rows =
+      std::vector<std::tuple<std::string, uint64_t, ValueType, std::string>>;
+  auto model_range = [&](const std::string& start, const std::string& end) {
+    Rows rows;
+    for (auto it = model.lower_bound(start);
+         it != model.end() && (end.empty() || it->first < end); ++it) {
+      for (const auto& [seq, v] : it->second) {
+        rows.emplace_back(it->first, seq, v.type, v.value);
+      }
+    }
+    return rows;
+  };
+  Rows visited;
+  auto collect = [&](const KvView& v) {
+    visited.emplace_back(std::string(v.key), v.seq, v.type,
+                         std::string(v.value));
+    return true;
+  };
+  mt.VisitAll(collect);
+  EXPECT_EQ(visited.size(), kAdds);
+  EXPECT_EQ(visited, model_range("", ""));
+  auto expect_range = [&](const std::string& start, const std::string& end) {
+    visited.clear();
+    mt.VisitRange(start, end, collect);
+    EXPECT_EQ(visited, model_range(start, end))
+        << "[" << start << ", " << end << ")";
+  };
+  expect_range("", "");
+  for (int i = 0; i < 200; i++) {
+    std::string a = random_key(), b = random_key();
+    if (b < a) std::swap(a, b);
+    expect_range(a, rng.Uniform(4) == 0 ? std::string() : b);
+  }
+  for (int i = 0; i < 5000; i++) {
+    std::string key = rng.Uniform(10) == 0 ? "absent" : random_key();
+    uint64_t snap = rng.Uniform(kAdds + 2);
+    auto got = mt.Get(key, snap);
+    auto it = model.find(key);
+    const Version* want = nullptr;
+    uint64_t want_seq = 0;
+    if (it != model.end()) {
+      auto v = it->second.lower_bound(snap);  // newest seq <= snap
+      if (v != it->second.end()) {
+        want = &v->second;
+        want_seq = v->first;
+      }
+    }
+    if (want == nullptr) {
+      EXPECT_FALSE(got) << key << "@" << snap;
+      continue;
+    }
+    ASSERT_TRUE(got) << key << "@" << snap;
+    EXPECT_EQ(got->key, key);
+    EXPECT_EQ(got->seq, want_seq);
+    EXPECT_EQ(got->type, want->type);
+    EXPECT_EQ(got->value, want->value);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemTablePropertyTest,
+                         ::testing::Values(1, 2, 3, 17, 99));
+
+// Views point into the memtable's arena: one taken before several arena
+// blocks' worth of later Adds (new keys and new versions of its own key)
+// still reads the same bytes.
+TEST(MemTableTest, ViewsStayValidAcrossLaterAdds) {
+  MemTable mt;
+  const std::string key = "parent/" + std::string(40, 'k');
+  const std::string value(100, 'x');
+  mt.Add(key, value, 1, ValueType::kPut);
+  auto got = mt.Get(key, UINT64_MAX);
+  ASSERT_TRUE(got);
+  KvView visited;
+  mt.VisitAll([&](const KvView& v) {
+    visited = v;
+    return false;
+  });
+  uint64_t seq = 1;
+  for (int i = 0; i < 4000; i++) {  // ~600 KB; the first block is 64 KB
+    mt.Add("other" + std::to_string(i), std::string(100, 'y'), ++seq,
+           ValueType::kPut);
+    if (i % 10 == 0) mt.Add(key, std::string(100, 'z'), ++seq, ValueType::kPut);
+  }
+  for (const KvView& v : {*got, visited}) {
+    EXPECT_EQ(v.key, key);
+    EXPECT_EQ(v.value, value);
+    EXPECT_EQ(v.seq, 1u);
+  }
+  EXPECT_EQ(mt.Get(key, 1)->value, value);
+  EXPECT_EQ(mt.Get(key, UINT64_MAX)->value, std::string(100, 'z'));
+}
+
+// Sizes at the arena's edges: a value larger than the first arena block,
+// an empty key, an empty value, and small pieces around the big one.
+TEST(MemTableTest, OversizedAndEmptyKeysAndValues) {
+  MemTable mt;
+  const std::string big(200 << 10, 'b');
+  mt.Add("a", "small", 1, ValueType::kPut);
+  mt.Add("big", big, 2, ValueType::kPut);
+  mt.Add("", "empty-key", 3, ValueType::kPut);
+  mt.Add("empty-value", "", 4, ValueType::kPut);
+  mt.Add("big", "", 5, ValueType::kDelete);
+  mt.Add("z", "after", 6, ValueType::kPut);
+  EXPECT_EQ(mt.Get("big", 4)->value, big);
+  EXPECT_EQ(mt.Get("big", UINT64_MAX)->type, ValueType::kDelete);
+  EXPECT_EQ(mt.Get("", UINT64_MAX)->value, "empty-key");
+  auto empty = mt.Get("empty-value", UINT64_MAX);
+  ASSERT_TRUE(empty);
+  EXPECT_TRUE(empty->value.empty());
+  EXPECT_EQ(empty->type, ValueType::kPut);
+  EXPECT_EQ(mt.Get("a", UINT64_MAX)->value, "small");
+  EXPECT_EQ(mt.Get("z", UINT64_MAX)->value, "after");
+  std::vector<std::pair<std::string, uint64_t>> order;
+  mt.VisitAll([&](const KvView& v) {
+    order.emplace_back(v.key, v.seq);
+    return true;
+  });
+  EXPECT_EQ(order, (std::vector<std::pair<std::string, uint64_t>>{
+                       {"", 3}, {"a", 1}, {"big", 5}, {"big", 2},
+                       {"empty-value", 4}, {"z", 6}}));
+  EXPECT_EQ(mt.ApproximateBytes(),
+            (1 + 5) + (3 + big.size()) + (0 + 9) + (11 + 0) + (3 + 0) +
+                (1 + 5) + 6 * 48);
+}
+
 TEST(MemTableTest, RangeVisitInOrder) {
   MemTable mt;
   mt.Add("b", "2", 2, ValueType::kPut);
   mt.Add("a", "1", 1, ValueType::kPut);
   mt.Add("c", "3", 3, ValueType::kPut);
   std::vector<std::string> keys;
-  mt.VisitRange("a", "c", [&](const KvEntry& e) {
-    keys.push_back(e.key);
+  mt.VisitRange("a", "c", [&](const KvView& e) {
+    keys.emplace_back(e.key);
     return true;
   });
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
@@ -157,14 +352,14 @@ TEST(SortedRunTest, GetHonorsSnapshot) {
       {"k", "v1", 1, ValueType::kPut},
   };
   SortedRun run(std::move(entries));
-  const KvEntry* latest = run.Get("k", UINT64_MAX);
-  ASSERT_NE(latest, nullptr);
+  auto latest = run.Get("k", UINT64_MAX);
+  ASSERT_TRUE(latest);
   EXPECT_EQ(latest->value, "v2");
-  const KvEntry* old = run.Get("k", 2);
-  ASSERT_NE(old, nullptr);
+  auto old = run.Get("k", 2);
+  ASSERT_TRUE(old);
   EXPECT_EQ(old->value, "v1");
-  EXPECT_EQ(run.Get("k", 0), nullptr);
-  EXPECT_EQ(run.Get("other", UINT64_MAX), nullptr);
+  EXPECT_FALSE(run.Get("k", 0));
+  EXPECT_FALSE(run.Get("other", UINT64_MAX));
 }
 
 TEST(SortedRunTest, IndexedGetAcrossManyKeys) {
@@ -180,21 +375,21 @@ TEST(SortedRunTest, IndexedGetAcrossManyKeys) {
   }
   SortedRun run(std::move(entries));
   for (int i = 0; i < kKeys; i++) {
-    const KvEntry* e = run.Get(keys[i], UINT64_MAX);
-    ASSERT_NE(e, nullptr) << keys[i];
+    auto e = run.Get(keys[i], UINT64_MAX);
+    ASSERT_TRUE(e) << keys[i];
     EXPECT_EQ(e->key, keys[i]);
     EXPECT_EQ(e->value, "new");
-    const KvEntry* old = run.Get(keys[i], 1);
+    auto old = run.Get(keys[i], 1);
     if (i % 3 == 0) {
-      ASSERT_NE(old, nullptr) << keys[i];
+      ASSERT_TRUE(old) << keys[i];
       EXPECT_EQ(old->value, "old");
     } else {
-      EXPECT_EQ(old, nullptr) << keys[i];
+      EXPECT_FALSE(old) << keys[i];
     }
-    EXPECT_EQ(run.Get(keys[i] + "x", UINT64_MAX), nullptr);
+    EXPECT_FALSE(run.Get(keys[i] + "x", UINT64_MAX));
   }
   SortedRun empty({});
-  EXPECT_EQ(empty.Get("key0", UINT64_MAX), nullptr);
+  EXPECT_FALSE(empty.Get("key0", UINT64_MAX));
 }
 
 TEST(SortedRunTest, MergeKeepsNewestAndSnapshotVersions) {

@@ -329,6 +329,33 @@ TEST_F(PrimitiveExecTest, LastWriterWinsIgnoresStaleTimestamps) {
   // reconcile independently.
 }
 
+// A directory move's parent backpointer is not LWW-gated: ops inside the
+// directory stamp its mtime with timestamps newer than the Renamer's, and
+// the move must still land.
+TEST_F(PrimitiveExecTest, ReparentIgnoresNewerLwwStamp) {
+  UpdateSpec touch;
+  touch.key = InodeKey::AttrRecord(10);
+  touch.lww.mtime = 100;
+  touch.lww.ts = 100;
+  UpdateSpec reparent;
+  reparent.key = InodeKey::AttrRecord(10);
+  reparent.parent = 77;
+  reparent.lww.ctime = 50;
+  reparent.lww.ts = 50;  // stamped before the touch
+  PrimitiveOp op_touch, op_reparent;
+  op_touch.updates.push_back(touch);
+  op_reparent.updates.push_back(reparent);
+  ASSERT_TRUE(ExecutePrimitive(op_touch, &kv_).status.ok());
+  ASSERT_TRUE(ExecutePrimitive(op_reparent, &kv_).status.ok());
+
+  auto rec = ReadRecord(kv_, InodeKey::AttrRecord(10));
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->parent, 77u);
+  EXPECT_EQ(rec->mtime, 100u);
+  EXPECT_NE(rec->ctime, 50u);  // the stale LWW part still loses
+  EXPECT_EQ(rec->lww_ts, 100u);
+}
+
 TEST_F(PrimitiveExecTest, FailedCheckLeavesNoPartialState) {
   // insert + update, but with a failing kNotExists check on an existing key.
   Predicate must_not_exist;
@@ -376,6 +403,7 @@ TEST(PrimitiveCodecTest, OpEncodeDecodeRoundTrip) {
   upd.lww.mode = 0644;
   upd.lww.size = -5;
   upd.lww.ts = 12;
+  upd.parent = 33;
   op.updates.push_back(upd);
 
   auto decoded = PrimitiveOp::Decode(op.Encode());
@@ -398,6 +426,7 @@ TEST(PrimitiveCodecTest, OpEncodeDecodeRoundTrip) {
   EXPECT_EQ(*decoded->updates[0].lww.mtime, 11u);
   EXPECT_EQ(*decoded->updates[0].lww.size, -5);
   EXPECT_EQ(decoded->updates[0].lww.ts, 12u);
+  EXPECT_EQ(*decoded->updates[0].parent, 33u);
 }
 
 TEST(PrimitiveCodecTest, ResultRoundTrip) {
