@@ -335,6 +335,93 @@ BENCHMARK_DEFINE_F(DentryCacheBench, ShardedLookup)(benchmark::State& state) {
 }
 BENCHMARK_REGISTER_F(DentryCacheBench, ShardedLookup)->Threads(1)->Threads(8);
 
+// --- dentry cache at cluster scale: one cache per client, 1000 clients ---
+//
+// The table1-mix shape: each client's cache holds its own directory and
+// that directory's 32 names, and consecutive operations come from
+// different clients, so every call lands on a cache whose lines have gone
+// cold. Default options (65,536 entries, 16 shards) as in CfsOptions.
+
+constexpr int kColdCaches = 1000;
+constexpr int kColdNames = 32;
+// Clients whose renames are broadcast in the invalidation fixture: each
+// adds its home and away directory's epoch views to every cache.
+constexpr int kColdRenamers = 64;
+
+InodeId ColdHomeDir(int client) {
+  return 1000 + 2 * static_cast<InodeId>(client);
+}
+InodeId ColdAwayDir(int client) { return ColdHomeDir(client) + 1; }
+
+class DentryCacheColdBench : public benchmark::Fixture {
+ public:
+  void SetUp(const benchmark::State&) override {
+    caches_.clear();
+    home_paths_.assign(kColdCaches, {});
+    away_paths_.assign(kColdCaches, {});
+    for (int c = 0; c < kColdCaches; c++) {
+      const std::string home = "/bench/home" + std::to_string(c);
+      const std::string away = "/bench/away" + std::to_string(c);
+      auto cache = std::make_unique<DentryCache>(DentryCache::Options());
+      cache->ObserveDirEpoch(kRootInode, 1);
+      cache->ObserveDirEpoch(ColdHomeDir(c), 1);
+      cache->PutPositive(home, kRootInode, ColdHomeDir(c),
+                         InodeType::kDirectory, 1);
+      cache->PutPositive(away, kRootInode, ColdAwayDir(c),
+                         InodeType::kDirectory, 1);
+      for (int n = 0; n < kColdNames; n++) {
+        const std::string name = "/f" + std::to_string(n);
+        home_paths_[c].push_back(home + name);
+        away_paths_[c].push_back(away + name);
+        cache->PutPositive(home + name, ColdHomeDir(c), 5000000 + n,
+                           InodeType::kFile, 1);
+      }
+      caches_.push_back(std::move(cache));
+    }
+  }
+  void TearDown(const benchmark::State&) override { caches_.clear(); }
+
+ protected:
+  std::vector<std::unique_ptr<DentryCache>> caches_;
+  std::vector<std::vector<std::string>> home_paths_;
+  std::vector<std::vector<std::string>> away_paths_;
+};
+
+// One resolved component per iteration, each from the next client's cache.
+BENCHMARK_DEFINE_F(DentryCacheColdBench, RotatingLookup)
+(benchmark::State& state) {
+  uint64_t k = 0;
+  for (auto _ : state) {
+    const int c = static_cast<int>(k % kColdCaches);
+    const auto& path = home_paths_[c][(k / kColdCaches) % kColdNames];
+    benchmark::DoNotOptimize(caches_[c]->Lookup(path, ColdHomeDir(c)));
+    k++;
+  }
+}
+BENCHMARK_REGISTER_F(DentryCacheColdBench, RotatingLookup);
+
+// One delivery of a cross-directory file rename's invalidation per
+// iteration, to the next client's cache, doing what
+// CfsEngine::ApplyInvalidation does: erase the source and destination
+// paths, adopt both parents' bumped epochs. Every kColdCaches iterations
+// the next of kColdRenamers clients renames.
+BENCHMARK_DEFINE_F(DentryCacheColdBench, InvalidationDelivery)
+(benchmark::State& state) {
+  uint64_t k = 0;
+  for (auto _ : state) {
+    const uint64_t round = k / kColdCaches;
+    const int renamer = static_cast<int>(round % kColdRenamers);
+    const size_t name = (round / kColdRenamers) % kColdNames;
+    DentryCache& cache = *caches_[k % kColdCaches];
+    cache.Erase(home_paths_[renamer][name]);
+    cache.Erase(away_paths_[renamer][name]);
+    cache.ObserveDirEpoch(ColdHomeDir(renamer), 2 + round);
+    cache.ObserveDirEpoch(ColdAwayDir(renamer), 2 + round);
+    k++;
+  }
+}
+BENCHMARK_REGISTER_F(DentryCacheColdBench, InvalidationDelivery);
+
 class MutexMapCacheBench : public benchmark::Fixture {
  public:
   void SetUp(const benchmark::State& state) override {

@@ -1,5 +1,6 @@
 #include "src/common/lock_order.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bitset>
 #include <chrono>
@@ -28,10 +29,14 @@ struct ClassInfo {
   std::string justification;
 };
 
+// Class infos sit in fixed, never-moving slots. A slot is written once,
+// under `mu`, before the release store of `count` publishes it, so the hot
+// paths (InfoOf) read it with no lock.
 struct Registry {
-  std::mutex mu;
+  std::mutex mu;  // serializes registrations
   std::unordered_map<std::string, uint32_t> by_name;
-  std::vector<ClassInfo> classes;  // index = id - 1
+  ClassInfo classes[kMaxClasses];  // index = id - 1
+  std::atomic<uint32_t> count{0};
 };
 
 // Leaked: lock classes are registered from objects with static storage
@@ -70,15 +75,14 @@ struct ScopeBucket {
   std::atomic<int64_t> max_us{0};
 };
 
+// A class's hold count, hold time and maximum are the sums (and the max)
+// of its buckets' — ScopeSnapshot derives them, so a release updates one
+// bucket only.
 struct ScopeSlot {
-  std::atomic<uint64_t> holds{0};
-  std::atomic<uint64_t> holds_with_rpc{0};
   std::atomic<uint64_t> rpcs_under_lock{0};
   std::atomic<uint64_t> rpc_violations{0};
   std::atomic<uint64_t> unbalanced_pops{0};
   std::atomic<bool> unbalanced_warned{false};
-  std::atomic<int64_t> max_hold_us{0};
-  std::atomic<int64_t> total_hold_us{0};
   ScopeBucket buckets[kNumRpcHoldBuckets];
 };
 
@@ -125,11 +129,12 @@ ThreadState& State() {
   return state;
 }
 
-ClassInfo InfoOf(uint32_t cls) {
+const ClassInfo& InfoOf(uint32_t cls) {
+  static const ClassInfo* const unknown =
+      new ClassInfo{"<unknown>", 0, RpcHoldPolicy::kNeverAcrossRpc, ""};
   Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  if (cls == 0 || cls > r.classes.size()) {
-    return ClassInfo{"<unknown>", 0, RpcHoldPolicy::kNeverAcrossRpc, ""};
+  if (cls == 0 || cls > r.count.load(std::memory_order_acquire)) {
+    return *unknown;
   }
   return r.classes[cls - 1];
 }
@@ -137,7 +142,7 @@ ClassInfo InfoOf(uint32_t cls) {
 std::string HeldStackString(const std::vector<Held>& held) {
   std::string out = "held stack: [";
   for (size_t i = 0; i < held.size(); i++) {
-    ClassInfo info = InfoOf(held[i].cls);
+    const ClassInfo& info = InfoOf(held[i].cls);
     if (i > 0) out += ", ";
     out += "\"" + info.name + "\"(rank " + std::to_string(info.rank);
     if (held[i].scope_only) out += ", scope";
@@ -236,10 +241,6 @@ void RecordHoldSpan(const Held& entry) {
   ScopeSlot& slot = GetScope()[entry.cls];
   int64_t hold_us = (NowNanos() - entry.acquire_ns) / 1000;
   if (hold_us < 0) hold_us = 0;
-  slot.holds.fetch_add(1, std::memory_order_relaxed);
-  slot.total_hold_us.fetch_add(hold_us, std::memory_order_relaxed);
-  AtomicMax(slot.max_hold_us, hold_us);
-  if (entry.rpcs > 0) slot.holds_with_rpc.fetch_add(1, std::memory_order_relaxed);
   ScopeBucket& b = slot.buckets[RpcHoldBucketFor(entry.rpcs)];
   b.holds.fetch_add(1, std::memory_order_relaxed);
   b.total_us.fetch_add(hold_us, std::memory_order_relaxed);
@@ -270,7 +271,7 @@ void PopHeld(uint32_t cls, bool scope_only, const char* what) {
   g_total_unbalanced_pops.fetch_add(1, std::memory_order_relaxed);
   bool expected = false;
   if (slot.unbalanced_warned.compare_exchange_strong(expected, true)) {
-    ClassInfo info = InfoOf(cls);
+    const ClassInfo& info = InfoOf(cls);
     std::fprintf(stderr,
                  "[lock_order] WARNING: %s of \"%s\" with no matching held "
                  "entry on this thread (reported once per class; see "
@@ -343,15 +344,17 @@ uint32_t RegisterClass(const char* name, int rank, RpcHoldPolicy policy,
     }
     return it->second;
   }
-  if (r.classes.size() >= kMaxClasses - 1) {
+  const uint32_t count = r.count.load(std::memory_order_relaxed);
+  if (count >= kMaxClasses - 1) {
     std::fprintf(stderr, "[lock_order] FATAL: too many lock classes (>%zu)\n",
                  kMaxClasses - 1);
     std::fflush(stderr);
     std::abort();
   }
-  r.classes.push_back(
-      ClassInfo{name, rank, policy, justification ? justification : ""});
-  uint32_t id = static_cast<uint32_t>(r.classes.size());
+  r.classes[count] =
+      ClassInfo{name, rank, policy, justification ? justification : ""};
+  const uint32_t id = count + 1;
+  r.count.store(id, std::memory_order_release);
   r.by_name.emplace(name, id);
   return id;
 }
@@ -368,8 +371,7 @@ void OnAcquire(uint32_t cls) {
     t.graph_epoch = epoch;
   }
 
-  ClassInfo acq;
-  if (!t.held.empty()) acq = InfoOf(cls);
+  const ClassInfo& acq = InfoOf(cls);
   for (const Held& entry : t.held) {
     // Logical (scope-only) entries are not mutexes: blocking on them is
     // resolved by the lock manager's own timeouts, they are legally held
@@ -389,7 +391,7 @@ void OnAcquire(uint32_t cls) {
       Report(std::move(v));
       continue;
     }
-    ClassInfo held_info = InfoOf(held);
+    const ClassInfo& held_info = InfoOf(held);
     if (acq.rank != 0 && held_info.rank != 0 && acq.rank <= held_info.rank) {
       Violation v;
       v.kind = Violation::Kind::kRank;
@@ -469,7 +471,7 @@ void OnRpcEdge(const char* from_node, const char* to_node) {
     entry.rpcs++;
     ScopeSlot& slot = scope[entry.cls];
     slot.rpcs_under_lock.fetch_add(1, std::memory_order_relaxed);
-    ClassInfo info = InfoOf(entry.cls);
+    const ClassInfo& info = InfoOf(entry.cls);
     if (info.policy != RpcHoldPolicy::kNeverAcrossRpc) continue;
     slot.rpc_violations.fetch_add(1, std::memory_order_relaxed);
     g_total_rpc_violations.fetch_add(1, std::memory_order_relaxed);
@@ -489,7 +491,7 @@ void AssertHeld(uint32_t cls) {
   for (const Held& entry : State().held) {
     if (entry.cls == cls) return;
   }
-  ClassInfo info = InfoOf(cls);
+  const ClassInfo& info = InfoOf(cls);
   std::fprintf(stderr,
                "[lock_order] FATAL: AssertHeld(\"%s\") failed; %s\n",
                info.name.c_str(), HeldStackString(State().held).c_str());
@@ -516,11 +518,11 @@ void SetViolationHandler(ViolationHandler handler) {
 
 std::vector<std::pair<std::string, int>> RegisteredClasses() {
   Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
+  const uint32_t count = r.count.load(std::memory_order_acquire);
   std::vector<std::pair<std::string, int>> out;
-  out.reserve(r.classes.size());
-  for (const ClassInfo& info : r.classes) {
-    out.emplace_back(info.name, info.rank);
+  out.reserve(count);
+  for (uint32_t i = 0; i < count; i++) {
+    out.emplace_back(r.classes[i].name, r.classes[i].rank);
   }
   return out;
 }
@@ -528,36 +530,32 @@ std::vector<std::pair<std::string, int>> RegisteredClasses() {
 std::string ClassName(uint32_t cls) { return InfoOf(cls).name; }
 
 std::vector<ClassScope> ScopeSnapshot() {
-  std::vector<ClassInfo> classes;
-  {
-    Registry& r = GetRegistry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    classes = r.classes;
-  }
+  Registry& r = GetRegistry();
+  const uint32_t count = r.count.load(std::memory_order_acquire);
   ScopeSlot* scope = GetScope();
   std::vector<ClassScope> out;
-  out.reserve(classes.size());
-  for (size_t i = 0; i < classes.size(); i++) {
+  out.reserve(count);
+  for (uint32_t i = 0; i < count; i++) {
+    const ClassInfo& info = r.classes[i];
     const ScopeSlot& slot = scope[i + 1];
     ClassScope cs;
-    cs.name = classes[i].name;
-    cs.rank = classes[i].rank;
-    cs.policy = classes[i].policy;
-    cs.justification = classes[i].justification;
-    cs.holds = slot.holds.load(std::memory_order_relaxed);
-    cs.holds_with_rpc = slot.holds_with_rpc.load(std::memory_order_relaxed);
+    cs.name = info.name;
+    cs.rank = info.rank;
+    cs.policy = info.policy;
+    cs.justification = info.justification;
     cs.rpcs_under_lock = slot.rpcs_under_lock.load(std::memory_order_relaxed);
     cs.rpc_violations = slot.rpc_violations.load(std::memory_order_relaxed);
     cs.unbalanced_pops = slot.unbalanced_pops.load(std::memory_order_relaxed);
-    cs.max_hold_us = slot.max_hold_us.load(std::memory_order_relaxed);
-    cs.total_hold_us = slot.total_hold_us.load(std::memory_order_relaxed);
     for (size_t b = 0; b < kNumRpcHoldBuckets; b++) {
-      cs.rpc_buckets[b].holds =
-          slot.buckets[b].holds.load(std::memory_order_relaxed);
-      cs.rpc_buckets[b].total_us =
+      ClassScope::Bucket& bucket = cs.rpc_buckets[b];
+      bucket.holds = slot.buckets[b].holds.load(std::memory_order_relaxed);
+      bucket.total_us =
           slot.buckets[b].total_us.load(std::memory_order_relaxed);
-      cs.rpc_buckets[b].max_us =
-          slot.buckets[b].max_us.load(std::memory_order_relaxed);
+      bucket.max_us = slot.buckets[b].max_us.load(std::memory_order_relaxed);
+      cs.holds += bucket.holds;
+      if (b > 0) cs.holds_with_rpc += bucket.holds;
+      cs.total_hold_us += bucket.total_us;
+      cs.max_hold_us = std::max(cs.max_hold_us, bucket.max_us);
     }
     out.push_back(std::move(cs));
   }
@@ -568,13 +566,9 @@ void ResetScopeStats() {
   ScopeSlot* scope = GetScope();
   for (size_t i = 0; i < kMaxClasses; i++) {
     ScopeSlot& slot = scope[i];
-    slot.holds.store(0, std::memory_order_relaxed);
-    slot.holds_with_rpc.store(0, std::memory_order_relaxed);
     slot.rpcs_under_lock.store(0, std::memory_order_relaxed);
     slot.rpc_violations.store(0, std::memory_order_relaxed);
     slot.unbalanced_pops.store(0, std::memory_order_relaxed);
-    slot.max_hold_us.store(0, std::memory_order_relaxed);
-    slot.total_hold_us.store(0, std::memory_order_relaxed);
     for (size_t b = 0; b < kNumRpcHoldBuckets; b++) {
       slot.buckets[b].holds.store(0, std::memory_order_relaxed);
       slot.buckets[b].total_us.store(0, std::memory_order_relaxed);

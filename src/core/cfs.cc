@@ -198,24 +198,24 @@ void Cfs::BroadcastInvalidation(const CacheInvalidation& inv) {
   // ~CfsEngine blocks in UnregisterEngine until active_broadcasts_ drains
   // back to zero. An engine registered after the snapshot misses this
   // invalidation, which is safe: it was just constructed and its cache is
-  // empty.
-  std::vector<CfsEngine*> snapshot;
+  // empty. Each engine has its own node, so the snapshot is indexed by
+  // node id and a delivery finds its engine directly.
+  std::vector<NodeId> dests;
+  std::vector<CfsEngine*> by_node;
   {
     MutexLock lock(engines_mu_);
     if (engines_.empty()) return;
-    snapshot = engines_;
+    dests.reserve(engines_.size());
+    for (CfsEngine* engine : engines_) {
+      NodeId node = engine->self();
+      dests.push_back(node);
+      if (node >= by_node.size()) by_node.resize(node + 1, nullptr);
+      by_node[node] = engine;
+    }
     active_broadcasts_++;
   }
-  std::vector<NodeId> dests;
-  dests.reserve(snapshot.size());
-  for (CfsEngine* engine : snapshot) dests.push_back(engine->self());
   net_.Multicast(renamer_->CoordinatorNetId(), dests, [&](NodeId dest) {
-    for (CfsEngine* engine : snapshot) {
-      if (engine->self() == dest) {
-        engine->ApplyInvalidation(inv);
-        break;
-      }
-    }
+    by_node[dest]->ApplyInvalidation(inv);
   });
   {
     MutexLock lock(engines_mu_);

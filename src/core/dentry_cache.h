@@ -3,8 +3,15 @@
 //
 // Design (see DESIGN.md "Client cache & coherence"):
 //   - Sharded bounded LRU: entries hash by full path onto N shards, each
-//     with its own mutex and LRU list, so concurrent resolves on one engine
+//     with its own mutex and LRU order, so concurrent resolves on one engine
 //     never serialize on a process-wide lock.
+//   - Flat tables: a shard is one allocation holding a control byte per
+//     slot, an open-addressed table of 56-byte entries and the arena of
+//     path bytes; LRU order is an intrusive list of slot indices. Epoch views are 24-byte
+//     slots in an open-addressed table per epoch shard. Nothing is
+//     allocated per entry, and every table starts empty and grows
+//     geometrically with what it holds — never sized from `capacity`, since
+//     a cluster runs one cache per client.
 //   - Positive AND negative entries: a cached ENOENT short-circuits repeat
 //     lookups of missing names; negative entries expire after a TTL, which
 //     bounds how long a create by another client can stay invisible.
@@ -19,14 +26,17 @@
 //   - Epoch views age: a view older than epoch_ttl_ms yields
 //     kNeedsValidation, telling the engine to refresh the epoch with one
 //     cheap RPC before trusting the hit. The TTL is therefore the staleness
-//     bound for mutations that are not broadcast (see below).
+//     bound for mutations that are not broadcast (see below). Views are
+//     never evicted: each directory the engine has observed keeps one.
 //   - Eager prefix invalidation: directory renames drop whole cached
 //     subtrees via ErasePrefix (driven by the Renamer's cluster-wide
 //     broadcast), so deep paths under a moved directory never serve the old
 //     location.
 //
-// Thread safety: all methods are safe for concurrent use. Lock order is
-// epoch-view shard -> entry shard; no method holds two entry-shard locks.
+// Thread safety: all methods are safe for concurrent use. A lookup takes
+// one lock, its entry shard's, and reads the parent's epoch view without
+// a lock (see EpochShard). No method holds two shard locks at once; the
+// rank order is epoch-view shard -> entry shard.
 
 #ifndef CFS_CORE_DENTRY_CACHE_H_
 #define CFS_CORE_DENTRY_CACHE_H_
@@ -34,10 +44,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -138,37 +147,139 @@ class DentryCache {
   Stats stats() const;
 
  private:
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  // One cached dentry, stored in its shard's open-addressed table (56
+  // bytes). The path's bytes live in the table's arena.
   struct Entry {
     InodeId parent = kInvalidInode;
     InodeId id = kInvalidInode;
-    InodeType type = InodeType::kNone;
     uint64_t epoch = 0;            // parent epoch tag at fill time
-    bool negative = false;
     int64_t negative_expire_us = 0;
+    uint32_t tag = 0;              // upper half of the path hash
+    uint32_t path_offset = 0;      // into the arena
+    uint32_t path_size = 0;
+    uint32_t lru_prev = kNoSlot;   // towards the most recent
+    uint32_t lru_next = kNoSlot;   // towards the least recent
+    InodeType type = InodeType::kNone;
+    bool negative = false;
   };
-  // LRU list front = most recent; the index maps path -> list node.
-  using LruList = std::list<std::pair<std::string, Entry>>;
-  struct EntryShard {
+
+  // The entries of one shard in one allocation: a control byte per slot
+  // (0 for empty, else 7 bits of the tag), 2^k entry slots (linear probing
+  // on the tag, backward-shift deletion, no tombstones), then the path
+  // arena. Probes scan the control bytes, so a miss reads one cache line
+  // and a hit reads only the entry it finds. LRU order is an intrusive list
+  // of slot indices, kept in step when deletion shifts an entry. Not
+  // thread-safe; used under its shard's mutex.
+  class EntryTable {
+   public:
+    // The slot holding `path`, or kNoSlot.
+    uint32_t Find(std::string_view path, uint32_t tag) const;
+    Entry& at(uint32_t slot) { return slots()[slot]; }
+    // Inserts a path known to be absent, as the most recent entry.
+    void Insert(std::string_view path, uint32_t tag, const Entry& entry);
+    void Remove(uint32_t slot);
+    void Touch(uint32_t slot);  // moves to the LRU front
+    // Removes the least recently used entry; false when empty.
+    bool EvictLru();
+    // Removes every entry whose path starts with `prefix`; returns how many.
+    uint64_t RemovePrefix(std::string_view prefix);
+    void Clear() { *this = EntryTable(); }
+    size_t size() const { return count_; }
+
+   private:
+    // The control bytes fill the first CtrlUnits(slots) entries' storage.
+    static size_t CtrlUnits(size_t slots) {
+      return (slots + sizeof(Entry) - 1) / sizeof(Entry);
+    }
+    static uint8_t CtrlOf(uint32_t tag) { return 0x80 | (tag >> 25); }
+    uint8_t* ctrl() const { return reinterpret_cast<uint8_t*>(block_.get()); }
+    Entry* slots() const { return block_.get() + CtrlUnits(mask_ + 1); }
+    char* arena() const { return reinterpret_cast<char*>(slots() + mask_ + 1); }
+    std::string_view PathOf(const Entry& entry) const {
+      return std::string_view(arena() + entry.path_offset, entry.path_size);
+    }
+    // Reallocates with `slots` slots and an arena of at least
+    // `arena_bytes`, re-inserting every entry in LRU order.
+    void Rebuild(size_t slots, size_t arena_bytes);
+    // Stores `entry` (its path already in the arena) in the first free slot
+    // of its probe run and links it at the LRU front.
+    void Place(const Entry& entry);
+    void LinkFront(uint32_t slot);
+    void Unlink(uint32_t slot);
+
+    // The fields Find and Touch read come first: with the shard's mutex
+    // they fill one cache line.
+    // Control bytes, slots, then the arena; null while empty.
+    std::unique_ptr<Entry[]> block_;
+    uint32_t mask_ = 0;               // slot count - 1
+    uint32_t lru_head_ = kNoSlot;
+    uint32_t lru_tail_ = kNoSlot;
+    uint32_t count_ = 0;
+    uint32_t arena_size_ = 0;  // bytes
+    uint32_t arena_used_ = 0;
+    uint32_t arena_dead_ = 0;  // bytes of removed paths
+  };
+
+  struct alignas(64) EntryShard {
     // All entry shards share one lock class; no method holds two at once.
     mutable Mutex mu{"dentry.entry", 41};
-    LruList lru GUARDED_BY(mu);
-    std::unordered_map<std::string, LruList::iterator> index GUARDED_BY(mu);
+    EntryTable table GUARDED_BY(mu);
+    // Set while the lookup holding `mu` reads an epoch view (see
+    // EpochShard).
+    std::atomic<bool> reading_view{false};
   };
+
   struct EpochView {
     uint64_t epoch = 0;
     int64_t observed_us = 0;
   };
-  struct EpochShard {
-    // Ordered before dentry.entry (see the lock-order note above).
-    mutable Mutex mu{"dentry.epoch", 40};
-    std::unordered_map<InodeId, EpochView> views GUARDED_BY(mu);
+  // One slot of an epoch shard's view table (24 bytes). Atomic, because
+  // lookups read views without the shard's mutex.
+  struct ViewSlot {
+    std::atomic<InodeId> dir{kInvalidInode};  // kInvalidInode: empty
+    std::atomic<uint64_t> epoch{0};
+    std::atomic<int64_t> observed_us{0};
   };
 
-  EntryShard& ShardFor(const std::string& path);
+  // The epoch views of the directories hashed to one shard: 2^k slots
+  // (linear probing, nothing removed but by Clear) plus one past the end
+  // for directory kInvalidInode, the empty-slot key. Writers hold `mu` and
+  // bracket each change with `seq`, odd while they write. A lookup reads a
+  // view without `mu`, while holding its entry-shard lock, and retries
+  // while `seq` is odd or has moved. Growing the table publishes the new
+  // slots and retires the old ones; they are freed once no entry shard
+  // has `reading_view` set, which a lookup sets before it loads `slots`
+  // and clears after its last read.
+  struct alignas(64) EpochShard {
+    // Ordered before dentry.entry (see the lock-order note above).
+    mutable Mutex mu{"dentry.epoch", 40};
+    std::atomic<uint32_t> seq{0};
+    std::atomic<uint32_t> mask{0};
+    std::atomic<ViewSlot*> slots{nullptr};
+    std::unique_ptr<ViewSlot[]> owned GUARDED_BY(mu);  // what `slots` points to
+    std::vector<std::unique_ptr<ViewSlot[]>> retired GUARDED_BY(mu);
+    uint32_t count GUARDED_BY(mu) = 0;
+  };
+
   EpochShard& EpochShardFor(InodeId dir) const;
-  // Reads the view under the epoch-shard lock; ok=false when unobserved.
-  bool ViewOf(InodeId dir, EpochView* out) const;
-  void PutEntry(const std::string& path, Entry entry);
+  // The slot of `dir` among `slots` (mask + 2 of them), or nullptr.
+  static const ViewSlot* FindView(const ViewSlot* slots, uint32_t mask,
+                                  InodeId dir);
+  // The table slot of `dir` (not kInvalidInode), claimed for it if absent
+  // (`*added` set). Writers only.
+  static ViewSlot& ClaimView(ViewSlot* slots, uint32_t mask, InodeId dir,
+                             bool* added);
+  // Doubles the shard's view table (or creates it) and retires the old
+  // slots.
+  void GrowViews(EpochShard& shard) REQUIRES(shard.mu);
+  // Reads `dir`'s view without the epoch-shard lock, for a lookup holding
+  // `reader`'s lock (see EpochShard). ok=false when unobserved.
+  bool ReadView(EntryShard& reader, InodeId dir, EpochView* out) const;
+  // True when no lookup is reading an epoch view.
+  bool NoViewReaders() const;
+  void PutEntry(const std::string& path, const Entry& entry);
   // One cache consultation, no counters. `view_is_fresh` marks a view
   // refreshed within the same logical lookup (skips the TTL check; cannot
   // return kNeedsValidation). `*stale` is set when a stale entry was

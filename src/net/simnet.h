@@ -36,6 +36,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -184,11 +185,12 @@ class SimNet {
   std::atomic<bool> has_faults_{false};
   std::atomic<uint64_t> total_calls_{0};
   std::atomic<int64_t> total_injected_us_{0};
-  // Edge table, keyed (from << 32) | to. Guarded separately from mu_ so
-  // edge updates never serialize against fault-set reads; never acquire
-  // another lock while holding edge_mu_ (it is a leaf, rank-enforced).
+  // Edge table, keyed (from << 32) | to; hashed, since every call updates
+  // it (EdgeStats sorts). Guarded separately from mu_ so edge updates never
+  // serialize against fault-set reads; never acquire another lock while
+  // holding edge_mu_ (it is a leaf, rank-enforced).
   mutable Mutex edge_mu_{"simnet.edge", 81};
-  std::map<uint64_t, EdgeStat> edges_ GUARDED_BY(edge_mu_);
+  std::unordered_map<uint64_t, EdgeStat> edges_ GUARDED_BY(edge_mu_);
   uint64_t probe_handle_ = 0;
 };
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/common/random.h"
@@ -675,6 +676,63 @@ INSTANTIATE_TEST_SUITE_P(ResolvingModes, CfsCoherenceTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& param) {
                            return param.param ? "ClientResolving" : "Proxied";
                          });
+
+// The Renamer's invalidation broadcast at scale: with 256 engines, each
+// cross-directory rename (file or directory) reaches every engine exactly
+// once, and afterwards no engine serves the old path, a cached ENOENT for
+// the destination, or a descendant under a moved directory's old prefix.
+TEST(CfsCoherenceBroadcastTest, ManyEnginesGetOneDeliveryPerRename) {
+  constexpr size_t kEngines = 256;
+  Cfs fs(SmallCluster(CfsFullOptions()));
+  ASSERT_TRUE(fs.Start().ok());
+  std::vector<std::unique_ptr<MetadataClient>> clients;
+  for (size_t i = 0; i < kEngines; i++) clients.push_back(fs.NewClient());
+  MetadataClient& a = *clients[0];
+  ASSERT_TRUE(a.Mkdir("/src", 0755).ok());
+  ASSERT_TRUE(a.Mkdir("/dst", 0755).ok());
+  ASSERT_TRUE(a.Create("/src/f", 0644).ok());
+  ASSERT_TRUE(a.Mkdir("/src/d", 0755).ok());
+  ASSERT_TRUE(a.Create("/src/d/child", 0644).ok());
+  // Warm every engine: positive entries at the sources, negative ones at
+  // the destinations.
+  for (auto& c : clients) {
+    ASSERT_TRUE(c->GetAttr("/src/f").ok());
+    ASSERT_TRUE(c->GetAttr("/src/d/child").ok());
+    ASSERT_TRUE(c->GetAttr("/dst/f").status().IsNotFound());
+    ASSERT_TRUE(c->GetAttr("/dst/d").status().IsNotFound());
+  }
+
+  const NodeId coordinator = fs.renamer()->CoordinatorNetId();
+  auto deliveries = [&] {
+    std::vector<uint64_t> calls;
+    for (auto& c : clients) {
+      calls.push_back(fs.net()->CallsBetween(
+          coordinator, static_cast<CfsEngine*>(c.get())->self()));
+    }
+    return calls;
+  };
+  const std::vector<uint64_t> before = deliveries();
+  ASSERT_TRUE(a.Rename("/src/f", "/dst/f").ok());
+  const std::vector<uint64_t> after_file = deliveries();
+  ASSERT_TRUE(a.Rename("/src/d", "/dst/d").ok());
+  const std::vector<uint64_t> after_dir = deliveries();
+  for (size_t i = 0; i < kEngines; i++) {
+    EXPECT_EQ(after_file[i] - before[i], 1u) << "file rename, engine " << i;
+    EXPECT_EQ(after_dir[i] - after_file[i], 1u) << "dir rename, engine " << i;
+  }
+
+  for (size_t i = 0; i < kEngines; i++) {
+    MetadataClient& c = *clients[i];
+    EXPECT_TRUE(c.GetAttr("/src/f").status().IsNotFound()) << "engine " << i;
+    EXPECT_TRUE(c.GetAttr("/dst/f").ok()) << "engine " << i;
+    EXPECT_TRUE(c.GetAttr("/src/d").status().IsNotFound()) << "engine " << i;
+    EXPECT_TRUE(c.GetAttr("/src/d/child").status().IsNotFound())
+        << "engine " << i;
+    EXPECT_TRUE(c.GetAttr("/dst/d/child").ok()) << "engine " << i;
+  }
+  clients.clear();
+  fs.Stop();
+}
 
 // Fast-path (intra-directory) renames are not broadcast; coherence there
 // comes from the epoch bump plus the receiver's epoch-view TTL. With the
