@@ -1,7 +1,7 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks under
 // every table/figure bench — encoding, CRC, memtable/KV ops, primitive
-// execution, lock acquisition, SimNet dispatch, and a raft commit round in
-// zero-latency mode.
+// execution, lock acquisition, SimNet dispatch, a raft commit round and a
+// cross-directory rename in zero-latency mode.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "src/common/encoding.h"
 #include "src/common/histogram.h"
 #include "src/common/random.h"
+#include "src/core/cfs.h"
 #include "src/core/dentry_cache.h"
 #include "src/core/metadata_client.h"
 #include "src/kv/kvstore.h"
@@ -344,8 +345,8 @@ BENCHMARK_REGISTER_F(DentryCacheBench, ShardedLookup)->Threads(1)->Threads(8);
 
 constexpr int kColdCaches = 1000;
 constexpr int kColdNames = 32;
-// Clients whose renames are broadcast in the invalidation fixture: each
-// adds its home and away directory's epoch views to every cache.
+// Clients whose renames' invalidations the delivery fixture applies; each
+// rename delivers to every cache, as when all clients read both parents.
 constexpr int kColdRenamers = 64;
 
 InodeId ColdHomeDir(int client) {
@@ -421,6 +422,62 @@ BENCHMARK_DEFINE_F(DentryCacheColdBench, InvalidationDelivery)
   }
 }
 BENCHMARK_REGISTER_F(DentryCacheColdBench, InvalidationDelivery);
+
+// --- rename invalidation through the assembled system ---
+//
+// One cross-directory file rename per iteration, through the Renamer, on a
+// zero-latency cluster with range(0) client engines of which only the
+// renaming one has read the two directories. The invalidation goes to the
+// parents' subscribers, so the real cost per rename should not grow with
+// the engine count.
+
+class CfsRenameInvalidation : public benchmark::Fixture {
+ public:
+  void SetUp(const benchmark::State& state) override {
+    CfsOptions options = CfsFullOptions();
+    options.start_gc = false;
+    fs_ = std::make_unique<Cfs>(options);
+    if (!fs_->Start().ok()) return;
+    for (int64_t i = 0; i < state.range(0); i++) {
+      clients_.push_back(fs_->NewClient());
+    }
+    MetadataClient& renamer = *clients_[0];
+    ok_ = renamer.Mkdir("/a", 0755).ok() && renamer.Mkdir("/b", 0755).ok() &&
+          renamer.Create("/a/f", 0644).ok();
+  }
+  void TearDown(const benchmark::State&) override {
+    clients_.clear();
+    fs_.reset();
+    ok_ = false;
+  }
+
+ protected:
+  std::unique_ptr<Cfs> fs_;
+  std::vector<std::unique_ptr<MetadataClient>> clients_;
+  bool ok_ = false;
+};
+
+BENCHMARK_DEFINE_F(CfsRenameInvalidation, CrossDirRename)
+(benchmark::State& state) {
+  if (!ok_) {
+    state.SkipWithError("cluster set-up failed");
+    return;
+  }
+  MetadataClient& renamer = *clients_[0];
+  bool in_a = true;
+  for (auto _ : state) {
+    if (!renamer.Rename(in_a ? "/a/f" : "/b/f", in_a ? "/b/f" : "/a/f").ok()) {
+      state.SkipWithError("rename failed");
+      break;
+    }
+    in_a = !in_a;
+  }
+}
+BENCHMARK_REGISTER_F(CfsRenameInvalidation, CrossDirRename)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 class MutexMapCacheBench : public benchmark::Fixture {
  public:

@@ -169,8 +169,8 @@ bool HoldsForTest(uint32_t cls, LockMode mode);
 // Place at the access site, inside the critical section:
 //
 //   WriterMutexLock lock(epoch_mu_);
-//   CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
-//   dir_epochs_[dir]++;
+//   CFS_SHARED_WRITE(dirs_, epoch_mu_);
+//   dirs_[dir].epoch++;
 //
 // No-ops (to the last token) when the detector is compiled out.
 

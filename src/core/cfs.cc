@@ -1,5 +1,8 @@
 #include "src/core/cfs.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "src/common/logging.h"
 #include "src/core/gc.h"
 
@@ -172,50 +175,52 @@ void Cfs::Stop() {
 
 void Cfs::RegisterEngine(CfsEngine* engine) {
   MutexLock lock(engines_mu_);
-  engines_.push_back(engine);
+  const NodeId node = engine->self();
+  if (node >= engines_by_node_.size()) engines_by_node_.resize(node + 1);
+  engines_by_node_[node] = engine;
 }
 
 void Cfs::UnregisterEngine(CfsEngine* engine) {
   MutexLock lock(engines_mu_);
-  // A broadcast in flight fans out over a snapshot taken under this mutex
-  // that may include `engine`; wait for every such broadcast to finish
-  // before letting the engine's destructor proceed.
+  // A broadcast in flight may hold `engine`'s pointer; wait for every such
+  // broadcast to finish before letting the engine's destructor proceed.
   while (active_broadcasts_ > 0) {
     engines_cv_.Wait(engines_mu_);
   }
-  for (auto it = engines_.begin(); it != engines_.end(); ++it) {
-    if (*it == engine) {
-      engines_.erase(it);
-      return;
-    }
-  }
+  engines_by_node_[engine->self()] = nullptr;
 }
 
 void Cfs::BroadcastInvalidation(const CacheInvalidation& inv) {
-  // Snapshot the registry, then fan out with engines_mu_ *released* —
-  // cfs.engines is a never-across-rpc class and the multicast is a network
-  // round trip. The snapshot's pointers stay alive because a concurrent
-  // ~CfsEngine blocks in UnregisterEngine until active_broadcasts_ drains
-  // back to zero. An engine registered after the snapshot misses this
-  // invalidation, which is safe: it was just constructed and its cache is
-  // empty. Each engine has its own node, so the snapshot is indexed by
-  // node id and a delivery finds its engine directly.
+  // The destinations are the engines subscribed to either parent when it
+  // was bumped (both lists sorted). Look them up under engines_mu_, then
+  // fan out with it *released* — cfs.engines is a never-across-rpc class
+  // and the multicast is a network round trip. The engines stay alive
+  // because a concurrent ~CfsEngine blocks in UnregisterEngine until
+  // active_broadcasts_ drains back to zero. A subscriber whose engine is
+  // gone is skipped.
   std::vector<NodeId> dests;
-  std::vector<CfsEngine*> by_node;
+  std::set_union(inv.src_subscribers.begin(), inv.src_subscribers.end(),
+                 inv.dst_subscribers.begin(), inv.dst_subscribers.end(),
+                 std::back_inserter(dests));
+  std::vector<CfsEngine*> engines;
   {
     MutexLock lock(engines_mu_);
-    if (engines_.empty()) return;
-    dests.reserve(engines_.size());
-    for (CfsEngine* engine : engines_) {
-      NodeId node = engine->self();
-      dests.push_back(node);
-      if (node >= by_node.size()) by_node.resize(node + 1, nullptr);
-      by_node[node] = engine;
+    size_t kept = 0;
+    for (NodeId node : dests) {
+      CfsEngine* engine =
+          node < engines_by_node_.size() ? engines_by_node_[node] : nullptr;
+      if (engine == nullptr) continue;
+      dests[kept++] = node;
+      engines.push_back(engine);
     }
+    dests.resize(kept);
+    if (dests.empty()) return;
     active_broadcasts_++;
   }
   net_.Multicast(renamer_->CoordinatorNetId(), dests, [&](NodeId dest) {
-    by_node[dest]->ApplyInvalidation(inv);
+    const size_t i =
+        std::lower_bound(dests.begin(), dests.end(), dest) - dests.begin();
+    engines[i]->ApplyInvalidation(inv);
   });
   {
     MutexLock lock(engines_mu_);

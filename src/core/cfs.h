@@ -110,18 +110,20 @@ class Cfs {
   size_t num_proxies() const { return proxy_engines_.size(); }
   NodeId proxy_net_id(size_t i) const { return proxy_nodes_[i]; }
 
-  // Engine registry for cache-invalidation broadcast. Engines register in
-  // their constructor and unregister in their destructor, so every engine
-  // must be destroyed before its Cfs (all current call sites already do).
+  // Engine registry for cache-invalidation delivery, indexed by node id.
+  // Engines register in their constructor and unregister in their
+  // destructor, so every engine must be destroyed before its Cfs (all
+  // current call sites already do).
   void RegisterEngine(CfsEngine* engine);
-  // Blocks until no broadcast is using the snapshot that may contain
-  // `engine`, then removes it — so a destroyed engine is never touched.
+  // Blocks until no broadcast may still deliver to `engine`, then removes
+  // it — so a destroyed engine is never touched.
   void UnregisterEngine(CfsEngine* engine);
-  // Delivers `inv` to every registered engine as one SimNet multicast from
-  // the Renamer coordinator (synchronous, on the renaming caller's
-  // thread). The fan-out runs on a snapshot with engines_mu_ *released*
-  // (pruned critical-section scope: no lock across RPCs); engines are kept
-  // alive by an active-broadcast refcount that UnregisterEngine waits on.
+  // Delivers `inv` to the registered engines its subscriber lists name, as
+  // one SimNet multicast from the Renamer coordinator (synchronous, on the
+  // renaming caller's thread). The fan-out runs with engines_mu_
+  // *released* (pruned critical-section scope: no lock across RPCs);
+  // engines are kept alive by an active-broadcast refcount that
+  // UnregisterEngine waits on.
   void BroadcastInvalidation(const CacheInvalidation& inv);
 
  private:
@@ -142,9 +144,10 @@ class Cfs {
   // (never-across-rpc policy). Kept below simnet.* and dentry.* in rank for
   // the registry operations that nest under resolving paths.
   Mutex engines_mu_{"cfs.engines", 20};
-  std::vector<CfsEngine*> engines_ GUARDED_BY(engines_mu_);
-  // Broadcasts in flight over a snapshot of engines_. UnregisterEngine
-  // waits for this to drain before letting an engine die.
+  // The engine on each node, null where none lives.
+  std::vector<CfsEngine*> engines_by_node_ GUARDED_BY(engines_mu_);
+  // Broadcasts in flight over engines looked up in engines_by_node_.
+  // UnregisterEngine waits for this to drain before letting an engine die.
   int active_broadcasts_ GUARDED_BY(engines_mu_) = 0;
   CondVar engines_cv_;
   // Filled by the constructor; const thereafter (RouteEngine only reads).
@@ -189,8 +192,9 @@ class CfsEngine : public MetadataClient {
   // Drops `path` and every cached descendant (a directory rename moves the
   // whole subtree, so exact-path invalidation is not enough).
   void InvalidateCache(const std::string& path);
-  // Applies a Renamer post-commit broadcast: drops the moved paths (subtrees
-  // for directory moves) and adopts both parents' freshly bumped epochs.
+  // Applies a Renamer post-commit invalidation: drops the moved paths
+  // (subtrees for directory moves) and adopts the freshly bumped epoch of
+  // each parent whose subscriber snapshot lists this engine.
   void ApplyInvalidation(const CacheInvalidation& inv);
   const DentryCache& dentry_cache() const { return cache_; }
 

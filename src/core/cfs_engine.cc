@@ -90,7 +90,7 @@ DentryCache::LookupResult CfsEngine::CacheLookup(const std::string& path,
     TafDbShard* shard = fs_->tafdb()->ShardFor(parent);
     bool fetched = false;
     (void)fs_->net()->Call(self_, shard->ServiceNetId(), [&]() -> Status {
-      *epoch = shard->DirEpoch(parent);
+      *epoch = shard->DirEpoch(parent, self_);
       fetched = true;
       return Status::Ok();
     });
@@ -115,8 +115,9 @@ void CfsEngine::BumpDirEpoch(InodeId dir) {
   // same round, so no extra RPC is charged. Adopting the returned value
   // keeps our own cached entries under `dir` valid (their tags are updated
   // on the next fill; existing tags now mismatch, which is exactly right —
-  // we just changed the directory).
-  uint64_t epoch = fs_->tafdb()->ShardFor(dir)->BumpDirEpoch(dir);
+  // we just changed the directory). The bump subscribes us to `dir`, as
+  // holding its view requires.
+  uint64_t epoch = fs_->tafdb()->ShardFor(dir)->BumpDirEpoch(dir, self_);
   cache_.ObserveDirEpoch(dir, epoch);
 }
 
@@ -140,10 +141,20 @@ void CfsEngine::ApplyInvalidation(const CacheInvalidation& inv) {
       cache_.Erase(inv.dst_path);
     }
   }
-  if (inv.src_parent != kInvalidInode) {
+  // Adopt a parent's epoch exactly when its bump-time snapshot lists us.
+  // Listed: we subscribed before the bump, so a read of ours may still be
+  // in flight with the old epoch; adopting makes its fill mismatch, whether
+  // or not we hold a view yet (deciding by view presence would let that
+  // fill through as fresh). Not listed: each of our reads of the parent
+  // comes after the bump and observes it, and a view would only cost
+  // memory.
+  auto listed = [this](const std::vector<NodeId>& subscribers) {
+    return std::binary_search(subscribers.begin(), subscribers.end(), self_);
+  };
+  if (inv.src_parent != kInvalidInode && listed(inv.src_subscribers)) {
     cache_.ObserveDirEpoch(inv.src_parent, inv.src_parent_epoch);
   }
-  if (inv.dst_parent != kInvalidInode) {
+  if (inv.dst_parent != kInvalidInode && listed(inv.dst_subscribers)) {
     cache_.ObserveDirEpoch(inv.dst_parent, inv.dst_parent_epoch);
   }
 }
@@ -164,7 +175,9 @@ StatusOr<InodeRecord> CfsEngine::ReadEntry(InodeId parent,
     // stale rather than wrongly fresh. Callers that fill the cache must
     // tag with `*observed_epoch` — NOT the view at fill time, which a
     // concurrent invalidation broadcast may have advanced past this read.
-    epoch = shard->DirEpoch(parent);
+    // The same call subscribes us to `parent`, so a rename that bumps it
+    // after this read delivers its invalidation here.
+    epoch = shard->DirEpoch(parent, self_);
     fetched = true;
     return shard->Get(InodeKey::IdRecord(parent, name));
   });
@@ -1059,8 +1072,9 @@ Status CfsEngine::Rename(const std::string& from, const std::string& to) {
   Renamer* renamer = fs_->renamer();
   Status st = fs_->net()->Call(self_, renamer->CoordinatorNetId(),
                                [&] { return renamer->Rename(req); });
-  // The Renamer's post-commit broadcast already invalidated every engine
-  // (including this one, subtree-wide for directory moves); these local
+  // The Renamer's post-commit multicast already invalidated every engine
+  // subscribed to either parent (including this one, which resolved
+  // `from`; subtree-wide for directory moves); these local
   // erases only cover the failure paths where no broadcast was sent.
   CacheErase(from);
   CacheErase(to);

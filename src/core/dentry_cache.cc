@@ -606,6 +606,16 @@ size_t DentryCache::size() const {
   return total;
 }
 
+size_t DentryCache::views() const {
+  size_t total = 0;
+  for (const EpochShard& shard : epoch_shards_) {
+    MutexLock lock(shard.mu);
+    CFS_SHARED_READ(shard.count, shard.mu);
+    total += shard.count;
+  }
+  return total;
+}
+
 DentryCache::Stats DentryCache::stats() const {
   Stats out;
   out.hits = stats_.hits.load(std::memory_order_relaxed);

@@ -28,10 +28,12 @@
 //     cheap RPC before trusting the hit. The TTL is therefore the staleness
 //     bound for mutations that are not broadcast (see below). Views are
 //     never evicted: each directory the engine has observed keeps one.
+//     The engine only observes directories it has read or mutated, so
+//     views grow with the directories it actually uses.
 //   - Eager prefix invalidation: directory renames drop whole cached
-//     subtrees via ErasePrefix (driven by the Renamer's cluster-wide
-//     broadcast), so deep paths under a moved directory never serve the old
-//     location.
+//     subtrees via ErasePrefix (driven by the Renamer's invalidation, sent
+//     to every engine subscribed to the moved path's old or new parent), so
+//     deep paths under a moved directory never serve the old location.
 //
 // Thread safety: all methods are safe for concurrent use. A lookup takes
 // one lock, its entry shard's, and reads the parent's epoch view without
@@ -143,6 +145,8 @@ class DentryCache {
 
   void Clear();
   size_t size() const;
+  // Directories with an epoch view.
+  size_t views() const;
   size_t capacity() const { return options_.capacity; }
   Stats stats() const;
 

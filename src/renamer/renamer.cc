@@ -368,23 +368,32 @@ Status Renamer::Rename(const RenameRequest& req) {
   //    detect their cached dentries as stale on first touch. The bumps are
   //    piggybacked on the shard mutations just executed (no extra RPC round
   //    trips); the epoch lives on the shard owning the directory's entry
-  //    list.
+  //    list. Each bump also snapshots the directory's subscribers: the
+  //    engines that may cache entries under it. The coordinator caches
+  //    nothing, so it bumps without subscribing.
   CacheInvalidation inv;
   inv.src_path = req.src_path;
   inv.dst_path = req.dst_path;
   inv.subtree = src_is_dir;
   inv.src_parent = req.src_parent;
-  inv.src_parent_epoch =
-      tafdb_->ShardFor(req.src_parent)->BumpDirEpoch(req.src_parent);
+  inv.src_parent_epoch = tafdb_->ShardFor(req.src_parent)
+                             ->BumpDirEpoch(req.src_parent, kInvalidNode,
+                                            &inv.src_subscribers);
   inv.dst_parent = req.dst_parent;
-  inv.dst_parent_epoch =
-      req.dst_parent == req.src_parent
-          ? inv.src_parent_epoch
-          : tafdb_->ShardFor(req.dst_parent)->BumpDirEpoch(req.dst_parent);
+  if (req.dst_parent == req.src_parent) {
+    inv.dst_parent_epoch = inv.src_parent_epoch;
+    inv.dst_subscribers = inv.src_subscribers;
+  } else {
+    inv.dst_parent_epoch = tafdb_->ShardFor(req.dst_parent)
+                               ->BumpDirEpoch(req.dst_parent, kInvalidNode,
+                                              &inv.dst_subscribers);
+  }
 
-  // 8. Eager cluster-wide invalidation: one synchronous SimNet fan-out to
-  //    every client engine before the rename returns. Directory moves drop
-  //    whole cached subtrees (prefix invalidation); without this, deep
+  // 8. Eager invalidation: one synchronous SimNet fan-out to the engines
+  //    subscribed to either parent before the rename returns. Every engine
+  //    caching a path under a directory is subscribed to it, and a moved
+  //    path's cached descendants sit under its parent too. Directory moves
+  //    drop whole cached subtrees (prefix invalidation); without this, deep
   //    cached paths under the moved directory would keep resolving to the
   //    old location until their parents' epoch views aged out.
   if (broadcast_) {

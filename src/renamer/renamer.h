@@ -54,18 +54,22 @@ struct RenameRequest {
   std::string dst_path;
 };
 
-// Post-commit cache invalidation, broadcast to every client engine after a
-// normal-path rename: the exact paths that moved (whole subtrees when a
-// directory moved) plus both parents' freshly bumped epochs, so receivers
-// refresh their views instead of waiting out the epoch TTL.
+// Post-commit cache invalidation after a normal-path rename, delivered to
+// the engines subscribed to either parent directory: the exact paths that
+// moved (whole subtrees when a directory moved) plus both parents' freshly
+// bumped epochs, so receivers refresh their views instead of waiting out
+// the epoch TTL. Each parent's subscriber list is the snapshot taken with
+// its bump; a receiver adopts a parent's epoch only if that list names it.
 struct CacheInvalidation {
   std::string src_path;
   std::string dst_path;
   bool subtree = false;  // a directory moved: drop cached descendants too
   InodeId src_parent = kInvalidInode;
   uint64_t src_parent_epoch = 0;
+  std::vector<NodeId> src_subscribers;  // sorted
   InodeId dst_parent = kInvalidInode;
   uint64_t dst_parent_epoch = 0;
+  std::vector<NodeId> dst_subscribers;  // sorted
 };
 
 struct RenamerOptions {
@@ -108,7 +112,7 @@ class Renamer {
   Stats stats() const;
 
   // Installed by the assembled system (Cfs): delivers a post-commit
-  // CacheInvalidation to every registered client engine. Runs on the
+  // CacheInvalidation to the engines its subscriber lists name. Runs on the
   // renaming caller's thread, synchronously, before Rename returns — which
   // is what makes post-rename lookups through other engines coherent. Must
   // be set before Start() and outlive the Renamer.

@@ -1,5 +1,7 @@
 #include "src/tafdb/shard.h"
 
+#include <algorithm>
+
 #include "src/common/encoding.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -279,17 +281,41 @@ StatusOr<std::vector<InodeRecord>> TafDbShard::ScanDir(
   return out;
 }
 
-uint64_t TafDbShard::DirEpoch(InodeId dir) const {
-  ReaderMutexLock lock(epoch_mu_);
-  CFS_SHARED_READ(dir_epochs_, epoch_mu_);
-  auto it = dir_epochs_.find(dir);
-  return it == dir_epochs_.end() ? 0 : it->second;
+void TafDbShard::Subscribe(DirState& state, NodeId node) {
+  auto it = std::lower_bound(state.subscribers.begin(),
+                             state.subscribers.end(), node);
+  if (it == state.subscribers.end() || *it != node) {
+    state.subscribers.insert(it, node);
+  }
 }
 
-uint64_t TafDbShard::BumpDirEpoch(InodeId dir) {
+uint64_t TafDbShard::DirEpoch(InodeId dir, NodeId reader) {
+  {
+    ReaderMutexLock lock(epoch_mu_);
+    CFS_SHARED_READ(dirs_, epoch_mu_);
+    auto it = dirs_.find(dir);
+    if (it != dirs_.end() &&
+        std::binary_search(it->second.subscribers.begin(),
+                           it->second.subscribers.end(), reader)) {
+      return it->second.epoch;
+    }
+  }
+  // First subscription: subscribe and read under one writer lock.
   WriterMutexLock lock(epoch_mu_);
-  CFS_SHARED_WRITE(dir_epochs_, epoch_mu_);
-  return ++dir_epochs_[dir];
+  CFS_SHARED_WRITE(dirs_, epoch_mu_);
+  DirState& state = dirs_[dir];
+  Subscribe(state, reader);
+  return state.epoch;
+}
+
+uint64_t TafDbShard::BumpDirEpoch(InodeId dir, NodeId bumper,
+                                  std::vector<NodeId>* subscribers) {
+  WriterMutexLock lock(epoch_mu_);
+  CFS_SHARED_WRITE(dirs_, epoch_mu_);
+  DirState& state = dirs_[dir];
+  if (bumper != kInvalidNode) Subscribe(state, bumper);
+  if (subscribers != nullptr) *subscribers = state.subscribers;
+  return ++state.epoch;
 }
 
 PrimitiveResult TafDbShard::CommitLocal(const PrimitiveOp& write_set) {

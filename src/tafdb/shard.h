@@ -143,11 +143,23 @@ class TafDbShard : public TxnParticipant {
   // directory's entry list (same kID routing as its id records). Mutating
   // ops bump it; client engines tag cached dentries with the epoch observed
   // at fill time and treat a mismatch as staleness on first touch. The
-  // epochs are unreplicated soft state (coherence hints, not data): after a
-  // shard restart they reset to zero, which merely forces clients to
-  // revalidate — the tag comparison is equality, not ordering.
-  uint64_t DirEpoch(InodeId dir) const;
-  uint64_t BumpDirEpoch(InodeId dir);  // returns the new epoch
+  // epochs are unreplicated soft state (coherence hints, not data).
+  //
+  // Each directory also keeps its subscribers: the engines that have read
+  // its epoch, and so may cache entries under it. A rename's invalidation
+  // is delivered only to them (DESIGN.md §8). Subscriptions are never
+  // dropped.
+  //
+  // Reads `dir`'s epoch and subscribes `reader` in the same critical
+  // section, so a concurrent BumpDirEpoch either lists `reader` in its
+  // snapshot or is seen by this read.
+  uint64_t DirEpoch(InodeId dir, NodeId reader);
+  // Bumps `dir`'s epoch and returns the new value. `bumper` is subscribed
+  // first (kInvalidNode: none, for callers that cache nothing). When
+  // `subscribers` is non-null it receives the sorted subscriber list, taken
+  // under the same lock as the bump.
+  uint64_t BumpDirEpoch(InodeId dir, NodeId bumper,
+                        std::vector<NodeId>* subscribers = nullptr);
 
   // ---- GC change capture ----
   std::vector<std::pair<LogIndex, ShardCommand>> ReadCommittedSince(
@@ -178,10 +190,18 @@ class TafDbShard : public TxnParticipant {
   // Service-side buffer pre-Prepare.
   std::map<TxnId, PrimitiveOp> staged_ GUARDED_BY(staged_mu_);
   std::atomic<uint64_t> request_seq_{1};
-  // Directory epochs: read-mostly (every cache-miss read consults one),
-  // written only by namespace mutations. Leaf.
-  mutable SharedMutex epoch_mu_{"tafdb.epoch", 63};
-  std::unordered_map<InodeId, uint64_t> dir_epochs_ GUARDED_BY(epoch_mu_);
+  struct DirState {
+    uint64_t epoch = 0;
+    std::vector<NodeId> subscribers;  // sorted, no duplicates
+  };
+  // Adds `node` to `state`'s subscribers if absent.
+  static void Subscribe(DirState& state, NodeId node);
+
+  // Directory epochs and subscribers: read-mostly (every cache-miss read
+  // consults one and finds its reader already subscribed), written by
+  // namespace mutations and first subscriptions. Leaf.
+  SharedMutex epoch_mu_{"tafdb.epoch", 63};
+  std::unordered_map<InodeId, DirState> dirs_ GUARDED_BY(epoch_mu_);
 };
 
 }  // namespace cfs

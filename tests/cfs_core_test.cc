@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -677,48 +678,66 @@ INSTANTIATE_TEST_SUITE_P(ResolvingModes, CfsCoherenceTest, ::testing::Bool(),
                            return param.param ? "ClientResolving" : "Proxied";
                          });
 
-// The Renamer's invalidation broadcast at scale: with 256 engines, each
-// cross-directory rename (file or directory) reaches every engine exactly
-// once, and afterwards no engine serves the old path, a cached ENOENT for
-// the destination, or a descendant under a moved directory's old prefix.
+// The Renamer's invalidation at scale: with 256 engines of which only every
+// other one has read under /src and /dst, each cross-directory rename (file
+// or directory) reaches every such engine exactly once and no other engine
+// at all, and the cold engines gain no epoch view. Afterwards no engine,
+// warm or cold, serves the old path, a cached ENOENT for the destination,
+// or a descendant under a moved directory's old prefix.
 TEST(CfsCoherenceBroadcastTest, ManyEnginesGetOneDeliveryPerRename) {
   constexpr size_t kEngines = 256;
   Cfs fs(SmallCluster(CfsFullOptions()));
   ASSERT_TRUE(fs.Start().ok());
   std::vector<std::unique_ptr<MetadataClient>> clients;
   for (size_t i = 0; i < kEngines; i++) clients.push_back(fs.NewClient());
+  auto engine = [&](size_t i) {
+    return static_cast<CfsEngine*>(clients[i].get());
+  };
+  auto warm = [](size_t i) { return i % 2 == 0; };
   MetadataClient& a = *clients[0];
   ASSERT_TRUE(a.Mkdir("/src", 0755).ok());
   ASSERT_TRUE(a.Mkdir("/dst", 0755).ok());
   ASSERT_TRUE(a.Create("/src/f", 0644).ok());
   ASSERT_TRUE(a.Mkdir("/src/d", 0755).ok());
   ASSERT_TRUE(a.Create("/src/d/child", 0644).ok());
-  // Warm every engine: positive entries at the sources, negative ones at
-  // the destinations.
-  for (auto& c : clients) {
-    ASSERT_TRUE(c->GetAttr("/src/f").ok());
-    ASSERT_TRUE(c->GetAttr("/src/d/child").ok());
-    ASSERT_TRUE(c->GetAttr("/dst/f").status().IsNotFound());
-    ASSERT_TRUE(c->GetAttr("/dst/d").status().IsNotFound());
+  // Warm every other engine: positive entries at the sources, negative
+  // ones at the destinations.
+  for (size_t i = 0; i < kEngines; i++) {
+    if (!warm(i)) continue;
+    MetadataClient& c = *clients[i];
+    ASSERT_TRUE(c.GetAttr("/src/f").ok());
+    ASSERT_TRUE(c.GetAttr("/src/d/child").ok());
+    ASSERT_TRUE(c.GetAttr("/dst/f").status().IsNotFound());
+    ASSERT_TRUE(c.GetAttr("/dst/d").status().IsNotFound());
   }
 
   const NodeId coordinator = fs.renamer()->CoordinatorNetId();
   auto deliveries = [&] {
     std::vector<uint64_t> calls;
-    for (auto& c : clients) {
-      calls.push_back(fs.net()->CallsBetween(
-          coordinator, static_cast<CfsEngine*>(c.get())->self()));
+    for (size_t i = 0; i < kEngines; i++) {
+      calls.push_back(fs.net()->CallsBetween(coordinator, engine(i)->self()));
     }
     return calls;
   };
+  std::vector<size_t> views_before;
+  for (size_t i = 0; i < kEngines; i++) {
+    views_before.push_back(engine(i)->dentry_cache().views());
+  }
   const std::vector<uint64_t> before = deliveries();
   ASSERT_TRUE(a.Rename("/src/f", "/dst/f").ok());
   const std::vector<uint64_t> after_file = deliveries();
   ASSERT_TRUE(a.Rename("/src/d", "/dst/d").ok());
   const std::vector<uint64_t> after_dir = deliveries();
   for (size_t i = 0; i < kEngines; i++) {
-    EXPECT_EQ(after_file[i] - before[i], 1u) << "file rename, engine " << i;
-    EXPECT_EQ(after_dir[i] - after_file[i], 1u) << "dir rename, engine " << i;
+    const uint64_t expected = warm(i) ? 1 : 0;
+    EXPECT_EQ(after_file[i] - before[i], expected)
+        << "file rename, engine " << i;
+    EXPECT_EQ(after_dir[i] - after_file[i], expected)
+        << "dir rename, engine " << i;
+    if (!warm(i)) {
+      EXPECT_EQ(engine(i)->dentry_cache().views(), views_before[i])
+          << "engine " << i;
+    }
   }
 
   for (size_t i = 0; i < kEngines; i++) {
@@ -729,6 +748,183 @@ TEST(CfsCoherenceBroadcastTest, ManyEnginesGetOneDeliveryPerRename) {
     EXPECT_TRUE(c.GetAttr("/src/d/child").status().IsNotFound())
         << "engine " << i;
     EXPECT_TRUE(c.GetAttr("/dst/d/child").ok()) << "engine " << i;
+  }
+  clients.clear();
+  fs.Stop();
+}
+
+// A rename's delivery makes every engine its parent's snapshot lists adopt
+// the new epoch, whether or not the engine holds a view yet. Engine B's bare
+// read of /s's epoch stands for the first half of a ReadEntry still in
+// flight when the rename commits: that read's fill will carry the old
+// epoch, so only an adopted new epoch keeps it from serving as fresh.
+TEST(CfsCoherenceBroadcastTest, ListedEngineAdoptsEpochWithoutAView) {
+  Cfs fs(SmallCluster(CfsFullOptions()));
+  ASSERT_TRUE(fs.Start().ok());
+  auto a = fs.NewClient();
+  auto b = fs.NewClient();
+  ASSERT_TRUE(a->Mkdir("/s", 0755).ok());
+  ASSERT_TRUE(a->Mkdir("/t", 0755).ok());
+  ASSERT_TRUE(a->Create("/s/f", 0644).ok());
+  auto s = a->Lookup("/s");
+  ASSERT_TRUE(s.ok());
+  CfsEngine* engine_b = static_cast<CfsEngine*>(b.get());
+  TafDbShard* shard = fs.tafdb()->ShardFor(s->id);
+  const uint64_t before = shard->DirEpoch(s->id, engine_b->self());
+  ASSERT_EQ(engine_b->dentry_cache().views(), 0u);
+
+  ASSERT_TRUE(a->Rename("/s/f", "/t/f").ok());
+  const uint64_t after = shard->DirEpoch(s->id, engine_b->self());
+  EXPECT_GT(after, before);
+  EXPECT_EQ(engine_b->dentry_cache().ObservedDirEpoch(s->id), after);
+  // B is listed for /s only: no view of /t.
+  EXPECT_EQ(engine_b->dentry_cache().views(), 1u);
+  a.reset();
+  b.reset();
+  fs.Stop();
+}
+
+// A reader that reads a directory's epoch is in the subscriber snapshot of
+// every later bump of it: the read and the subscription are one critical
+// section. Readers subscribe for the first time while another thread
+// bumps; whatever epoch a reader saw, the next bump's snapshot must list
+// it.
+TEST(CfsCoherenceSubscriptionTest, ReaderIsInEveryLaterBumpSnapshot) {
+  Cfs fs(SmallCluster(CfsFullOptions()));
+  ASSERT_TRUE(fs.Start().ok());
+  constexpr InodeId kDir = 77777;
+  constexpr int kReaders = 3;
+  constexpr NodeId kPerReader = 2000;
+  TafDbShard* shard = fs.tafdb()->ShardFor(kDir);
+  // seen[n]: the epoch reader node n read.
+  std::vector<uint64_t> seen(kReaders * kPerReader);
+  std::atomic<int> running{kReaders};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; r++) {
+    threads.emplace_back([&, r] {
+      for (NodeId n = r * kPerReader; n < (r + 1) * kPerReader; n++) {
+        seen[n] = shard->DirEpoch(kDir, n);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // first_listed[n]: the epoch of the first bump whose snapshot lists n.
+  std::vector<uint64_t> first_listed(seen.size(), 0);
+  std::vector<NodeId> snapshot;
+  uint64_t bumps = 0;
+  while (running.load() > 0) {
+    bumps = shard->BumpDirEpoch(kDir, kInvalidNode, &snapshot);
+    for (NodeId n : snapshot) {
+      if (first_listed[n] == 0) first_listed[n] = bumps;
+    }
+  }
+  for (auto& t : threads) t.join();
+  for (NodeId n = 0; n < seen.size(); n++) {
+    if (seen[n] >= bumps) continue;  // no later bump
+    EXPECT_NE(first_listed[n], 0u) << "reader " << n;
+    EXPECT_LE(first_listed[n], seen[n] + 1)
+        << "reader " << n << " read epoch " << seen[n];
+  }
+  fs.Stop();
+}
+
+// Readers keep filling their caches under a directory while another engine
+// moves names into and out of it. Every move takes a fresh name, so a path
+// a rename has moved away from never exists again: once that Rename has
+// returned, no reader may resolve it. Readers are replaced by fresh engines
+// as they go, so first subscriptions race with the renames' bumps.
+TEST(CfsCoherenceStressTest, ReadersNeverServeAPathRenamedAway) {
+  Cfs fs(SmallCluster(CfsFullOptions()));
+  ASSERT_TRUE(fs.Start().ok());
+  auto mover = fs.NewClient();
+  ASSERT_TRUE(mover->Mkdir("/hot", 0755).ok());
+  ASSERT_TRUE(mover->Mkdir("/cold", 0755).ok());
+  constexpr int kMoves = 200;
+  constexpr int kReaders = 3;
+  constexpr int kOpsPerEngine = 40;
+  // Move k takes the file from PathOf(k) to PathOf(k + 1).
+  auto path_of = [](int k) {
+    return std::string(k % 2 == 0 ? "/hot/n" : "/cold/n") + std::to_string(k);
+  };
+  ASSERT_TRUE(mover->Create(path_of(0), 0644).ok());
+  std::atomic<int> moved{0};  // renames that have returned
+  std::atomic<int> stale{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&] {
+      std::unique_ptr<MetadataClient> client = fs.NewClient();
+      std::vector<int> filled;  // moves whose path this engine resolved
+      for (int op = 1; moved.load() < kMoves; op++) {
+        if (op % kOpsPerEngine == 0) {
+          client = fs.NewClient();
+          filled.clear();
+        }
+        const int current = moved.load();
+        if (client->GetAttr(path_of(current)).ok()) filled.push_back(current);
+        // Every path renamed away before `done` was read must be gone.
+        const int done = moved.load();
+        for (int k : filled) {
+          if (k < done && client->GetAttr(path_of(k)).ok()) stale++;
+        }
+        std::erase_if(filled, [&](int k) { return k < done; });
+        if (current > 0 && client->GetAttr(path_of(current - 1)).ok()) {
+          stale++;
+        }
+      }
+    });
+  }
+  for (int k = 0; k < kMoves; k++) {
+    ASSERT_TRUE(mover->Rename(path_of(k), path_of(k + 1)).ok()) << k;
+    moved.store(k + 1);
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(stale.load(), 0);
+  mover.reset();
+  fs.Stop();
+}
+
+// Each engine's epoch views cover only the directories it uses: engines
+// that rename between their own two directories never gain views of the
+// others' directories, however many renames run.
+TEST(CfsCoherenceBroadcastTest, EpochViewsStayBoundedUnderRenames) {
+  constexpr size_t kEngines = 64;
+  constexpr int kRounds = 8;
+  // Root, the engine's own directory and its two subdirectories.
+  constexpr size_t kMaxViews = 4;
+  Cfs fs(SmallCluster(CfsFullOptions()));
+  ASSERT_TRUE(fs.Start().ok());
+  std::vector<std::unique_ptr<MetadataClient>> clients;
+  for (size_t i = 0; i < kEngines; i++) {
+    clients.push_back(fs.NewClient());
+    const std::string home = "/e" + std::to_string(i);
+    ASSERT_TRUE(clients[i]->Mkdir(home, 0755).ok());
+    ASSERT_TRUE(clients[i]->Mkdir(home + "/a", 0755).ok());
+    ASSERT_TRUE(clients[i]->Mkdir(home + "/b", 0755).ok());
+    ASSERT_TRUE(clients[i]->Create(home + "/a/f", 0644).ok());
+  }
+  std::vector<size_t> views_at_half(kEngines);
+  for (int round = 0; round < kRounds; round++) {
+    for (size_t i = 0; i < kEngines; i++) {
+      const std::string home = "/e" + std::to_string(i);
+      const bool in_a = round % 2 == 0;
+      ASSERT_TRUE(clients[i]
+                      ->Rename(home + (in_a ? "/a/f" : "/b/f"),
+                               home + (in_a ? "/b/f" : "/a/f"))
+                      .ok())
+          << "engine " << i << " round " << round;
+    }
+    if (round == kRounds / 2 - 1) {
+      for (size_t i = 0; i < kEngines; i++) {
+        views_at_half[i] =
+            static_cast<CfsEngine*>(clients[i].get())->dentry_cache().views();
+      }
+    }
+  }
+  for (size_t i = 0; i < kEngines; i++) {
+    const size_t views =
+        static_cast<CfsEngine*>(clients[i].get())->dentry_cache().views();
+    EXPECT_LE(views, kMaxViews) << "engine " << i;
+    EXPECT_EQ(views, views_at_half[i]) << "engine " << i;
   }
   clients.clear();
   fs.Stop();

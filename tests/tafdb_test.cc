@@ -638,6 +638,31 @@ TEST_F(TafDbClusterTest, CdcFeedSeesCommittedPrimitives) {
   EXPECT_TRUE(found);
 }
 
+TEST_F(TafDbClusterTest, DirEpochSubscribesReaderToTheNextBump) {
+  constexpr InodeId kDir = 4242;
+  constexpr InodeId kOtherDir = 4243;
+  TafDbShard* shard = cluster_->ShardFor(kDir);
+  std::vector<NodeId> subscribers;
+  EXPECT_EQ(shard->BumpDirEpoch(kDir, kInvalidNode, &subscribers), 1u);
+  EXPECT_TRUE(subscribers.empty());
+
+  EXPECT_EQ(shard->DirEpoch(kDir, 7), 1u);
+  EXPECT_EQ(shard->DirEpoch(kDir, 3), 1u);
+  EXPECT_EQ(shard->DirEpoch(kDir, 7), 1u);  // already subscribed
+  EXPECT_EQ(shard->BumpDirEpoch(kDir, 5, &subscribers), 2u);
+  EXPECT_EQ(subscribers, (std::vector<NodeId>{3, 5, 7}));
+  // Subscriptions are never dropped; a bump without a snapshot keeps them.
+  EXPECT_EQ(shard->BumpDirEpoch(kDir, kInvalidNode), 3u);
+  EXPECT_EQ(shard->DirEpoch(kDir, 9), 3u);
+  EXPECT_EQ(shard->BumpDirEpoch(kDir, kInvalidNode, &subscribers), 4u);
+  EXPECT_EQ(subscribers, (std::vector<NodeId>{3, 5, 7, 9}));
+
+  // Subscribers are per directory.
+  TafDbShard* other = cluster_->ShardFor(kOtherDir);
+  EXPECT_EQ(other->BumpDirEpoch(kOtherDir, kInvalidNode, &subscribers), 1u);
+  EXPECT_TRUE(subscribers.empty());
+}
+
 TEST_F(TafDbClusterTest, TimestampAndIdServicesAreDistinctAndMonotonic) {
   uint64_t ts1 = cluster_->ts_oracle()->Next();
   uint64_t ts2 = cluster_->ts_oracle()->Next();
