@@ -1,9 +1,11 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks under
 // every table/figure bench — encoding, CRC, memtable/KV ops, primitive
-// execution, lock acquisition, SimNet dispatch, a raft commit round and a
-// cross-directory rename in zero-latency mode.
+// execution, lock acquisition, SimNet dispatch, a raft commit round, the
+// retained heap per inline-replicated raft entry and a cross-directory
+// rename in zero-latency mode.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <map>
@@ -292,6 +294,59 @@ void BM_RaftProposeCommit(benchmark::State& state) {
   group.Stop();
 }
 BENCHMARK(BM_RaftProposeCommit)->Unit(benchmark::kMicrosecond);
+
+// --- raft log memory under inline replication (the simulated clusters) ---
+//
+// A 3-replica inline group on a zero-latency SimNet proposing distinct
+// 200-byte commands. retained_bytes_per_entry is the heap the timed
+// proposals leave allocated (mallinfo2 uordblks delta) per committed
+// entry: the three logs, the three WAL windows and the records they hold.
+
+class RaftInlinePropose : public benchmark::Fixture {
+ public:
+  void SetUp(const benchmark::State&) override {
+    net_ = std::make_unique<SimNet>();
+    RaftOptions options;
+    options.inline_replication = true;
+    group_ = std::make_unique<RaftGroup>(
+        net_.get(), "inline", std::vector<uint32_t>{0, 1, 2},
+        [](ReplicaId) { return std::make_unique<CountingSm>(); }, options);
+    ok_ = group_->Start().ok();
+  }
+  void TearDown(const benchmark::State&) override {
+    group_.reset();
+    net_.reset();
+    ok_ = false;
+  }
+
+ protected:
+  std::unique_ptr<SimNet> net_;
+  std::unique_ptr<RaftGroup> group_;
+  bool ok_ = false;
+};
+
+BENCHMARK_DEFINE_F(RaftInlinePropose, Command200B)(benchmark::State& state) {
+  if (!ok_) {
+    state.SkipWithError("group start failed");
+    return;
+  }
+  std::string command(200, 'c');
+  uint64_t seq = 0;
+  const size_t heap_before = mallinfo2().uordblks;
+  for (auto _ : state) {
+    const std::string tag = std::to_string(seq++);
+    command.replace(0, tag.size(), tag);
+    if (!group_->Propose(command).ok()) {
+      state.SkipWithError("propose failed");
+      break;
+    }
+  }
+  const double retained =
+      static_cast<double>(mallinfo2().uordblks) - static_cast<double>(heap_before);
+  state.counters["retained_bytes_per_entry"] =
+      retained / static_cast<double>(std::max<uint64_t>(seq, 1));
+}
+BENCHMARK_REGISTER_F(RaftInlinePropose, Command200B);
 
 // --- dentry cache: sharded lookups vs. the old process-wide mutex map ---
 //

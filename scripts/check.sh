@@ -11,16 +11,18 @@
 #   3. a ThreadSanitizer build running the concurrency-heavy tests (metrics
 #      registry, SimNet edge tables, lock manager, KV memtable index under
 #      a concurrent writer, lock-order tracker, workload harness, the
-#      sharded dentry cache, and the cross-engine
-#      cache-coherence tests — the code most exposed to the multi-threaded
-#      client loops).
+#      sharded dentry cache, raft replication, the WAL, replica failover,
+#      and the cross-engine cache-coherence tests — the code most exposed
+#      to the multi-threaded client loops and replicator threads, which
+#      share each raft entry's WAL record).
 #
 # Usage: scripts/check.sh [--tsan-only|--asan-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TSAN_TESTS=(metrics_test trace_event_test simnet_test lock_manager_test kv_test
-            common_test lock_order_test workload_test dentry_cache_test)
+            common_test lock_order_test workload_test dentry_cache_test
+            raft_test wal_test failover_test)
 
 if [[ "${1:-}" == "" ]]; then
   echo "== regular build + full test suite =="

@@ -372,10 +372,11 @@ void DentryCache::ObserveDirEpoch(InodeId dir, uint64_t epoch) {
     if (added) shard.count++;
   }
   // A lower epoch is a reordered observation — keep the newer view but
-  // still refresh the timestamp (the shard was reachable just now). The
-  // exception is a reset to 0 (shard restart): adopt it, so tagged entries
-  // mismatch and conservatively revalidate.
-  if (epoch >= slot->epoch.load(std::memory_order_relaxed) || epoch == 0) {
+  // still refresh the timestamp (the shard was reachable just now). No
+  // exception for 0: shard epochs never reset, and a late read of epoch 0
+  // adopted over a rename's bump would make that read's pre-rename fill,
+  // tagged 0, hit as fresh.
+  if (epoch >= slot->epoch.load(std::memory_order_relaxed)) {
     slot->epoch.store(epoch, std::memory_order_release);
   }
   slot->observed_us.store(now_us, std::memory_order_release);

@@ -137,8 +137,7 @@ class DentryCache {
 
   // Records a fresh observation of `dir`'s mutation epoch (from a read
   // piggyback, an own mutation, or an invalidation broadcast). Regressing
-  // epochs are ignored except the 0 reset after a shard restart, which
-  // conservatively invalidates.
+  // epochs, 0 included, are ignored.
   void ObserveDirEpoch(InodeId dir, uint64_t epoch);
   // The engine's current view of `dir`'s epoch (0 if never observed).
   uint64_t ObservedDirEpoch(InodeId dir) const;

@@ -23,12 +23,15 @@ std::string EncodeVote(Term term, ReplicaId voted_for) {
   return out;
 }
 
-std::string EncodeEntry(LogIndex index, const LogEntry& e) {
-  std::string out(1, kWalEntry);
-  PutVarint64(&out, index);
-  PutVarint64(&out, e.term);
-  PutLengthPrefixed(&out, e.command);
-  return out;
+// Builds entry `index`'s one shared record; every replica's log and WAL
+// window then hold it.
+LogEntry MakeEntry(LogIndex index, Term term, std::string_view command) {
+  std::string head(1, kWalEntry);
+  PutVarint64(&head, index);
+  PutVarint64(&head, term);
+  PutVarint64(&head, command.size());
+  return LogEntry{term, static_cast<uint32_t>(head.size()),
+                  WalRecord(head, command)};
 }
 
 std::string EncodeTruncate(LogIndex from) {
@@ -99,7 +102,7 @@ Status RaftNode::Start() {
       }
       case kWalEntry: {
         uint64_t index, term;
-        std::string command;
+        std::string_view command;
         if (dec.GetVarint64(&index) && dec.GetVarint64(&term) &&
             dec.GetLengthPrefixed(&command)) {
           if (index <= snapshot_index_) break;  // already in the snapshot
@@ -108,7 +111,11 @@ Status RaftNode::Start() {
           }
           // Gaps cannot occur in a well-formed WAL; ignore if they do.
           if (index == LastIndexLocked() + 1) {
-            log_.push_back(LogEntry{term, std::move(command)});
+            // Re-wraps the replayed bytes: the record itself was written
+            // in MakeEntry's layout, command last.
+            log_.push_back(LogEntry{
+                term, static_cast<uint32_t>(command.data() - record.data()),
+                WalRecord(record)});
           }
         }
         break;
@@ -237,7 +244,7 @@ void RaftNode::BecomeLeaderLocked() {
     last_send_[i] = 0;
   }
   // Commit-previous-term barrier: append a no-op in the new term.
-  log_.push_back(LogEntry{term_, ""});
+  log_.push_back(MakeEntry(LastIndexLocked() + 1, term_, ""));
   term_start_index_ = LastIndexLocked();
   CFS_LOG(kDebug) << "raft " << id_ << " became leader term=" << term_;
   repl_cv_.NotifyAll();
@@ -250,7 +257,7 @@ void RaftNode::FailPendingLocked(const Status& status) {
   pending_.clear();
 }
 
-std::future<StatusOr<std::string>> RaftNode::Propose(std::string command) {
+std::future<StatusOr<std::string>> RaftNode::Propose(std::string_view command) {
   std::promise<StatusOr<std::string>> promise;
   auto future = promise.get_future();
   {
@@ -259,15 +266,15 @@ std::future<StatusOr<std::string>> RaftNode::Propose(std::string command) {
       promise.set_value(Status::NotLeader());
       return future;
     }
-    log_.push_back(LogEntry{term_, std::move(command)});
-    LogIndex index = LastIndexLocked();
+    LogIndex index = LastIndexLocked() + 1;
+    log_.push_back(MakeEntry(index, term_, command));
     pending_[index].promise = std::move(promise);
   }
   repl_cv_.NotifyAll();
   return future;
 }
 
-StatusOr<std::string> RaftNode::ProposeInline(std::string command) {
+StatusOr<std::string> RaftNode::ProposeInline(std::string_view command) {
   std::promise<StatusOr<std::string>> promise;
   auto future = promise.get_future();
   LogIndex index = 0;
@@ -276,8 +283,8 @@ StatusOr<std::string> RaftNode::ProposeInline(std::string command) {
     if (!running_.load() || role_ != RaftRole::kLeader) {
       return Status::NotLeader();
     }
-    log_.push_back(LogEntry{term_, std::move(command)});
-    index = LastIndexLocked();
+    index = LastIndexLocked() + 1;
+    log_.push_back(MakeEntry(index, term_, command));
     pending_[index].promise = std::move(promise);
   }
   // A round sends everything outstanding, so one round normally commits
@@ -377,9 +384,8 @@ std::vector<std::pair<LogIndex, std::string>> RaftNode::ReadCommittedSince(
   // enabling compaction must scan more often than they compact).
   for (LogIndex i = std::max(from, snapshot_index_) + 1;
        i <= commit_index_ && out.size() < max; i++) {
-    if (!EntryAtLocked(i).command.empty()) {
-      out.emplace_back(i, EntryAtLocked(i).command);
-    }
+    std::string_view command = EntryAtLocked(i).command();
+    if (!command.empty()) out.emplace_back(i, command);
   }
   return out;
 }
@@ -407,21 +413,20 @@ void RaftNode::PersistEntriesUpTo(LogIndex index) {
   // Group commit: batch-append all entries that are not yet durable and pay
   // a single synced write. Serialized by mu_ bracketed copies; the fsync
   // cost itself is paid outside mu_ so concurrent handlers are not blocked.
-  std::vector<std::pair<LogIndex, LogEntry>> to_persist;
+  std::vector<WalRecord> to_persist;
   {
     MutexLock lock(mu_);
     if (index <= durable_index_) return;
-    for (LogIndex i = std::max(durable_index_, snapshot_index_) + 1;
-         i <= index && i <= LastIndexLocked(); i++) {
-      to_persist.emplace_back(i, EntryAtLocked(i));
+    LogIndex i = std::max(durable_index_, snapshot_index_) + 1;
+    for (; i <= index && i <= LastIndexLocked(); i++) {
+      to_persist.push_back(EntryAtLocked(i).record);
     }
     if (to_persist.empty()) return;
-    durable_index_ = to_persist.back().first;
+    durable_index_ = i - 1;
   }
   for (size_t i = 0; i < to_persist.size(); i++) {
     bool last = i + 1 == to_persist.size();
-    (void)wal_.Append(EncodeEntry(to_persist[i].first, to_persist[i].second),
-                      /*sync=*/last);
+    (void)wal_.Append(std::move(to_persist[i]), /*sync=*/last);
   }
 }
 
@@ -561,11 +566,9 @@ void RaftNode::AdvanceCommitLocked() {
 void RaftNode::ApplyCommittedLocked() {
   while (applied_index_ < commit_index_) {
     applied_index_++;
-    const LogEntry& entry = EntryAtLocked(applied_index_);
+    std::string_view command = EntryAtLocked(applied_index_).command();
     std::string result;
-    if (!entry.command.empty()) {
-      result = sm_->Apply(applied_index_, entry.command);
-    }
+    if (!command.empty()) result = sm_->Apply(applied_index_, command);
     auto it = pending_.find(applied_index_);
     if (it != pending_.end()) {
       it->second.promise.set_value(std::move(result));
@@ -669,7 +672,7 @@ AppendReply RaftNode::HandleAppendEntries(const AppendRequest& req) {
   if (first_new != 0) {
     LogIndex last = req.prev_log_index + req.entries.size();
     for (LogIndex i = std::max(first_new, durable_index_ + 1); i <= last; i++) {
-      (void)wal_.Append(EncodeEntry(i, EntryAtLocked(i)), /*sync=*/i == last);
+      (void)wal_.Append(EntryAtLocked(i).record, /*sync=*/i == last);
     }
     durable_index_ = std::max(durable_index_, last);
   }
@@ -816,6 +819,12 @@ LogIndex RaftNode::SnapshotIndex() const {
   return snapshot_index_;
 }
 
+WalRecord RaftNode::LogRecordForTest(LogIndex index) const {
+  MutexLock lock(mu_);
+  if (index <= snapshot_index_ || index > LastIndexLocked()) return {};
+  return EntryAtLocked(index).record;
+}
+
 ReplicaId RaftNode::LeaderHint() const {
   MutexLock lock(mu_);
   return leader_hint_;
@@ -910,7 +919,7 @@ RaftNode* RaftGroup::Leader() {
   return nullptr;
 }
 
-StatusOr<std::string> RaftGroup::Propose(std::string command,
+StatusOr<std::string> RaftGroup::Propose(std::string_view command,
                                          int64_t timeout_ms) {
   // Spans the caller's full replication wait: leader discovery, append,
   // quorum ack, apply. Runs on the proposing thread, so it lands in the
@@ -924,7 +933,7 @@ StatusOr<std::string> RaftGroup::Propose(std::string command,
     if (leader == nullptr) {
       return Status::NotLeader("no leader (inline replication)");
     }
-    return leader->ProposeInline(std::move(command));
+    return leader->ProposeInline(command);
   }
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);

@@ -96,9 +96,19 @@ struct RaftOptions {
   WalOptions wal;
 };
 
+// A log entry. Its bytes are one immutable, shared WAL record (tag, index,
+// term, length-prefixed command), built once where the entry first enters
+// a log: the leader's log, every follower's log and all their WAL windows
+// hold that same record (log matching makes an entry's index and term
+// identical on every replica, so followers never re-encode it).
 struct LogEntry {
   Term term = 0;
-  std::string command;
+  uint32_t command_offset = 0;  // where the command starts in `record`
+  WalRecord record;
+
+  std::string_view command() const {
+    return record.view().substr(command_offset);
+  }
 };
 
 struct VoteRequest {
@@ -177,14 +187,14 @@ class RaftNode {
 
   // Proposes a command. The future resolves with the Apply() payload once
   // the entry commits, or with kNotLeader/kAborted on leadership change.
-  std::future<StatusOr<std::string>> Propose(std::string command);
+  std::future<StatusOr<std::string>> Propose(std::string_view command);
 
   // Inline-replication proposal (options_.inline_replication): appends the
   // entry and drives replication rounds on the calling thread until the
   // entry commits and applies (or no quorum is reachable). Safe under
   // concurrent callers — a thread's entry may be committed by another
   // thread's round.
-  StatusOr<std::string> ProposeInline(std::string command);
+  StatusOr<std::string> ProposeInline(std::string_view command);
 
   // One synchronous replication round: sends AppendEntries to every peer,
   // advancing match/commit/apply. The serialized fan-out models one
@@ -216,6 +226,11 @@ class RaftNode {
 
   // Test/introspection: first index still present in the in-memory log.
   LogIndex SnapshotIndex() const;
+  // Test introspection: the record behind log entry `index` (empty when
+  // outside the in-memory log), and this replica's WAL, whose memory
+  // window holds the same records.
+  WalRecord LogRecordForTest(LogIndex index) const;
+  const Wal& wal() const { return wal_; }
 
   // Called periodically by the group ticker.
   void Tick();
@@ -338,7 +353,8 @@ class RaftGroup {
   StatusOr<ReplicaId> WaitForLeader(int64_t timeout_ms = 5000);
 
   // Routes to the leader, retrying across elections until timeout.
-  StatusOr<std::string> Propose(std::string command, int64_t timeout_ms = 5000);
+  StatusOr<std::string> Propose(std::string_view command,
+                                int64_t timeout_ms = 5000);
 
   RaftNode* replica(size_t i) { return nodes_[i].get(); }
   StateMachine* state_machine(size_t i) { return machines_[i].get(); }

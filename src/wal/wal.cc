@@ -32,6 +32,18 @@ WalMetrics& Metrics() {
 
 }  // namespace
 
+WalRecord::WalRecord(std::string_view head, std::string_view tail) {
+  const uint32_t size = static_cast<uint32_t>(head.size() + tail.size());
+  std::shared_ptr<char[]> rep =
+      std::make_shared_for_overwrite<char[]>(sizeof(size) + size);
+  char* p = rep.get();
+  std::memcpy(p, &size, sizeof(size));
+  p += sizeof(size);
+  if (!head.empty()) std::memcpy(p, head.data(), head.size());
+  if (!tail.empty()) std::memcpy(p + head.size(), tail.data(), tail.size());
+  rep_ = std::move(rep);
+}
+
 Wal::Wal(WalOptions options) : options_(std::move(options)) {}
 
 Wal::~Wal() {
@@ -52,18 +64,23 @@ Status Wal::Open() {
 }
 
 StatusOr<uint64_t> Wal::Append(std::string_view record, bool sync) {
+  return Append(WalRecord(record), sync);
+}
+
+StatusOr<uint64_t> Wal::Append(WalRecord record, bool sync) {
   uint64_t lsn;
   {
     MutexLock lock(mu_);
     CFS_SHARED_WRITE(window_, mu_);
     lsn = next_lsn_++;
-    window_.emplace_back(record);
+    // Shares the bytes; `record` keeps them alive if the cap evicts them.
+    window_.push_back(record);
     while (window_.size() > options_.memory_window) {
       window_.pop_front();
       window_base_++;
     }
     if (file_ != nullptr) {
-      Status st = AppendToFileLocked(record);
+      Status st = AppendToFileLocked(record.view());
       if (!st.ok()) return st;
       if (sync && options_.real_fsync) {
         std::fflush(file_);
@@ -103,10 +120,10 @@ Status Wal::Replay(
     // Memory-only: replay the window.
     uint64_t lsn = window_base_;
     // Copy out so fn may call back into this WAL.
-    std::vector<std::string> records(window_.begin(), window_.end());
+    std::vector<WalRecord> records(window_.begin(), window_.end());
     lock.Unlock();
-    for (const auto& r : records) {
-      fn(lsn++, r);
+    for (const WalRecord& r : records) {
+      fn(lsn++, r.view());
     }
     return Status::Ok();
   }
@@ -143,11 +160,11 @@ Status Wal::Replay(
   return Status::Ok();
 }
 
-std::vector<std::pair<uint64_t, std::string>> Wal::ReadFrom(
+std::vector<std::pair<uint64_t, WalRecord>> Wal::ReadFrom(
     uint64_t from_lsn, size_t max) const {
   MutexLock lock(mu_);
   CFS_SHARED_READ(window_, mu_);
-  std::vector<std::pair<uint64_t, std::string>> out;
+  std::vector<std::pair<uint64_t, WalRecord>> out;
   if (from_lsn < window_base_) from_lsn = window_base_;
   for (uint64_t lsn = from_lsn; lsn < next_lsn_ && out.size() < max; lsn++) {
     out.emplace_back(lsn, window_[lsn - window_base_]);

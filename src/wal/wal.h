@@ -1,16 +1,18 @@
 // Write-ahead log.
 //
 // Append-only sequence of opaque records, each assigned a monotonically
-// increasing LSN. Three consumers:
+// increasing LSN. Two consumers:
 //   - the KV store logs write batches before applying them to the memtable,
-//   - raft persists log entries and votes,
-//   - the garbage collector tails recent records as its change-data-capture
-//     feed (paper §4.4).
+//   - raft persists log entries, votes, truncation marks and snapshots.
+// (The garbage collector's change-data-capture feed tails the raft log via
+// RaftNode::ReadCommittedSince, not the WAL.)
 //
-// Records live in memory (the CDC window) and, when a path is configured,
-// are also framed to a file ([crc32c][varint len][payload]) so recovery and
-// corruption-detection paths can be tested against real bytes. fsync is
-// simulated by default (a configurable sleep standing in for the paper's
+// Records live in memory (a bounded window, replayed on restart when no
+// file is configured) and, when a path is configured, are also framed to a
+// file ([crc32c][varint len][payload]) so recovery and corruption-detection
+// paths can be tested against real bytes. The window holds WalRecords, so
+// raft's log and its WAL window share one copy of each entry's bytes. fsync
+// is simulated by default (a configurable sleep standing in for the paper's
 // NVMe WAL flush); file-backed WALs can request real fdatasync.
 
 #ifndef CFS_WAL_WAL_H_
@@ -18,8 +20,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +33,26 @@
 
 namespace cfs {
 
+// One immutable WAL record shared by reference. A single allocation holds
+// the reference count, the length and the bytes; copies share those bytes
+// and nothing ever mutates them.
+class WalRecord {
+ public:
+  WalRecord() = default;
+  // Copies `head` followed by `tail` into a new record.
+  explicit WalRecord(std::string_view head, std::string_view tail = {});
+
+  std::string_view view() const {
+    if (rep_ == nullptr) return {};
+    uint32_t size;
+    std::memcpy(&size, rep_.get(), sizeof(size));
+    return {rep_.get() + sizeof(size), size};
+  }
+
+ private:
+  std::shared_ptr<const char[]> rep_;  // [uint32 size][bytes]
+};
+
 struct WalOptions {
   // Simulated flush latency applied on every synced append (0 disables).
   int64_t fsync_delay_us = 0;
@@ -36,8 +60,8 @@ struct WalOptions {
   std::string path;
   // Issue a real fdatasync on synced appends (requires `path`).
   bool real_fsync = false;
-  // Cap on the in-memory record window retained for CDC tailing; older
-  // records are dropped from memory (they remain in the file if any).
+  // Cap on the in-memory record window; older records are dropped from
+  // memory (they remain in the file if any).
   size_t memory_window = 1 << 20;
 };
 
@@ -52,7 +76,10 @@ class Wal {
   // Opens (and replays nothing by itself); see Recover().
   Status Open();
 
-  // Appends a record; if sync, pays the flush cost. Returns the LSN.
+  // Appends a record; if sync, pays the flush cost. Returns the LSN. The
+  // memory window keeps `record` itself (a reference, not a copy).
+  StatusOr<uint64_t> Append(WalRecord record, bool sync = true);
+  // Wraps the bytes in a new WalRecord and appends that.
   StatusOr<uint64_t> Append(std::string_view record, bool sync = true);
 
   // Replays records from the backing file (or the memory window when
@@ -62,10 +89,10 @@ class Wal {
   Status Replay(
       const std::function<void(uint64_t lsn, std::string_view record)>& fn);
 
-  // Returns records with lsn >= from_lsn currently in the memory window
-  // (CDC tailing). `max` caps the batch.
-  std::vector<std::pair<uint64_t, std::string>> ReadFrom(uint64_t from_lsn,
-                                                         size_t max) const;
+  // Returns the records with lsn >= from_lsn currently in the memory
+  // window (the window's own records, shared). `max` caps the batch.
+  std::vector<std::pair<uint64_t, WalRecord>> ReadFrom(uint64_t from_lsn,
+                                                       size_t max) const;
 
   // First LSN still held in the memory window.
   uint64_t FirstLsn() const;
@@ -92,7 +119,7 @@ class Wal {
   // locks, so wal.log ranks above them; the simulated fsync sleep happens
   // with mu_ released.
   mutable Mutex mu_{"wal.log", 70};
-  std::deque<std::string> window_ GUARDED_BY(mu_);
+  std::deque<WalRecord> window_ GUARDED_BY(mu_);
   uint64_t window_base_ GUARDED_BY(mu_) = 0;  // LSN of window_.front()
   uint64_t next_lsn_ GUARDED_BY(mu_) = 0;
   std::FILE* file_ GUARDED_BY(mu_) = nullptr;

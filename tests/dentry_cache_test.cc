@@ -194,21 +194,35 @@ TEST(DentryCacheTest, ZeroCapacityDisablesCache) {
   EXPECT_EQ(cache.stats().misses, 0u);
 }
 
-TEST(DentryCacheTest, EpochRegressionIgnoredExceptReset) {
+TEST(DentryCacheTest, EpochRegressionIsIgnored) {
   ManualClock clock;
   DentryCache cache(SmallOptions(), &clock);
   cache.ObserveDirEpoch(kDir, 9);
   cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/9);
 
-  // A reordered (older) observation must not roll the view back.
+  // A reordered (older) observation must not roll the view back, and
+  // neither may 0: shard epochs never reset.
   cache.ObserveDirEpoch(kDir, 8);
   EXPECT_EQ(cache.ObservedDirEpoch(kDir), 9u);
   EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kHit);
-
-  // A reset to 0 (shard restart) is adopted and invalidates tagged entries.
   cache.ObserveDirEpoch(kDir, 0);
-  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 0u);
-  EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kMiss);
+  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 9u);
+  EXPECT_EQ(cache.Lookup("/d/a", kDir).outcome, Outcome::kHit);
+}
+
+// Regression for a late epoch-0 read: a ReadEntry reads epoch 0 and the
+// pre-rename dentry, the rename's invalidation delivery moves the view to
+// 1, then the read completes. Its observation of 0 must not reset the
+// view, or its fill (tagged 0) would hit as fresh.
+TEST(DentryCacheTest, LateEpochZeroReadDoesNotResetView) {
+  ManualClock clock;
+  DentryCache cache(SmallOptions(), &clock);
+  cache.ObserveDirEpoch(kDir, 1);  // invalidation delivery
+  cache.ObserveDirEpoch(kDir, 0);  // the late read's piggybacked epoch
+  cache.PutPositive("/d/a", kDir, 42, InodeType::kFile, /*epoch=*/0);
+
+  EXPECT_EQ(cache.ObservedDirEpoch(kDir), 1u);
+  EXPECT_NE(cache.Lookup("/d/a", kDir).outcome, Outcome::kHit);
 }
 
 // Regression for the fill/broadcast race: a resolve reads a dentry while
@@ -525,7 +539,7 @@ class ModelCache {
   void ObserveDirEpoch(InodeId dir, uint64_t epoch) {
     if (options_.capacity == 0) return;
     View& view = views_[dir];
-    if (epoch >= view.epoch || epoch == 0) view.epoch = epoch;
+    if (epoch >= view.epoch) view.epoch = epoch;
     view.observed_us = Now();
   }
 

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "src/common/encoding.h"
 #include "src/raft/raft.h"
 
 namespace cfs {
@@ -45,7 +46,7 @@ struct Cluster {
   std::unique_ptr<RaftGroup> group;
   std::vector<RecordingSm*> sms;
 
-  explicit Cluster(size_t n = 3) {
+  explicit Cluster(size_t n = 3, RaftOptions options = FastRaft()) {
     std::vector<uint32_t> servers;
     for (size_t i = 0; i < n; i++) servers.push_back(static_cast<uint32_t>(i));
     group = std::make_unique<RaftGroup>(
@@ -55,9 +56,40 @@ struct Cluster {
           sms.push_back(sm.get());
           return sm;
         },
-        FastRaft());
+        options);
+  }
+
+  // The machine currently attached to replica i (rebuilt on restart).
+  RecordingSm* sm(size_t i) {
+    return static_cast<RecordingSm*>(group->state_machine(i));
   }
 };
+
+RaftOptions InlineRaft() {
+  RaftOptions options;
+  options.inline_replication = true;
+  return options;
+}
+
+// Commands applied by `sm`, in apply order.
+std::vector<std::string> AppliedCommands(const RecordingSm& sm) {
+  std::vector<std::string> out;
+  for (const auto& [index, command] : sm.applied()) out.push_back(command);
+  return out;
+}
+
+// Where a record's bytes live: equal for copies of one record.
+const void* BytesOf(const WalRecord& record) { return record.view().data(); }
+
+// Decodes a raft entry record: tag 1, varint index, varint term,
+// length-prefixed command.
+bool DecodeEntryRecord(std::string_view record, LogIndex* index, Term* term,
+                       std::string_view* command) {
+  if (record.empty() || record[0] != 1) return false;
+  Decoder dec(record.substr(1));
+  return dec.GetVarint64(index) && dec.GetVarint64(term) &&
+         dec.GetLengthPrefixed(command) && dec.empty();
+}
 
 TEST(RaftTest, ElectsExactlyOneLeader) {
   Cluster c;
@@ -286,6 +318,103 @@ TEST(RaftTest, ReadCommittedSinceExposesCdcFeed) {
   for (auto& [idx, cmd] : feed) commands.push_back(cmd);
   EXPECT_EQ(commands,
             (std::vector<std::string>{"cdc-1", "cdc-2"}));
+}
+
+// Each committed entry is one record: every replica's log and WAL window
+// hold the leader's record object itself, and it decodes to the entry's
+// (index, term, command).
+TEST(RaftTest, CommittedEntryIsStoredOnce) {
+  Cluster c(3, InlineRaft());
+  ASSERT_TRUE(c.group->Start().ok());
+  constexpr int kProposals = 40;
+  std::vector<std::string> commands;
+  for (int i = 0; i < kProposals; i++) {
+    std::string command(200, static_cast<char>('a' + i % 26));
+    command.replace(0, 4, std::to_string(1000 + i));
+    ASSERT_TRUE(c.group->Propose(command).ok());
+    commands.push_back(std::move(command));
+  }
+  RaftNode* leader = c.group->replica(0);
+  ASSERT_TRUE(leader->IsLeader());
+  const LogIndex last = leader->LastLogIndex();
+  ASSERT_EQ(last, static_cast<LogIndex>(kProposals) + 1);  // + term no-op
+
+  // Each replica's WAL window, entry records only, by log index.
+  std::vector<std::map<LogIndex, const void*>> windows(c.group->size());
+  for (size_t r = 0; r < c.group->size(); r++) {
+    for (const auto& [lsn, record] :
+         c.group->replica(r)->wal().ReadFrom(0, SIZE_MAX)) {
+      LogIndex index;
+      Term term;
+      std::string_view command;
+      if (DecodeEntryRecord(record.view(), &index, &term, &command)) {
+        EXPECT_EQ(windows[r].count(index), 0u) << "index " << index;
+        windows[r][index] = BytesOf(record);
+      }
+    }
+  }
+  const Term term = leader->CurrentTerm();
+  for (LogIndex i = 1; i <= last; i++) {
+    WalRecord record = leader->LogRecordForTest(i);
+    ASSERT_NE(BytesOf(record), nullptr) << "index " << i;
+    for (size_t r = 0; r < c.group->size(); r++) {
+      EXPECT_EQ(BytesOf(c.group->replica(r)->LogRecordForTest(i)),
+                BytesOf(record))
+          << "replica " << r << " log, index " << i;
+      EXPECT_EQ(windows[r][i], BytesOf(record))
+          << "replica " << r << " wal window, index " << i;
+    }
+    LogIndex index;
+    Term entry_term;
+    std::string_view command;
+    ASSERT_TRUE(DecodeEntryRecord(record.view(), &index, &entry_term, &command));
+    EXPECT_EQ(index, i);
+    EXPECT_EQ(entry_term, term);
+    EXPECT_EQ(command, i == 1 ? std::string() : commands[i - 2]);
+  }
+}
+
+// Inline groups restart from their memory WAL windows: a restarted
+// follower, then the whole group, rebuild their logs from the replayed
+// records, re-apply the same commands in the same order, and commit anew.
+TEST(RaftTest, InlineRestartReplaysSharedRecords) {
+  Cluster c(3, InlineRaft());
+  ASSERT_TRUE(c.group->Start().ok());
+  std::vector<std::string> expected;
+  auto propose = [&](const std::string& command) {
+    auto result = c.group->Propose(command);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(*result, "applied:" + command);
+    expected.push_back(command);
+    // One more round carries the new commit index to both followers.
+    c.group->replica(0)->ReplicateRoundInline();
+  };
+  auto expect_replicas_match = [&] {
+    for (size_t r = 0; r < c.group->size(); r++) {
+      EXPECT_EQ(AppliedCommands(*c.sm(r)), expected) << "replica " << r;
+      ASSERT_EQ(c.group->replica(r)->LastLogIndex(),
+                c.group->replica(0)->LastLogIndex());
+      for (LogIndex i = 1; i <= c.group->replica(0)->LastLogIndex(); i++) {
+        EXPECT_EQ(c.group->replica(r)->LogRecordForTest(i).view(),
+                  c.group->replica(0)->LogRecordForTest(i).view())
+            << "replica " << r << ", index " << i;
+      }
+    }
+  };
+  for (int i = 0; i < 10; i++) propose("pre" + std::to_string(i));
+
+  ASSERT_TRUE(c.group->RestartReplica(1).ok());
+  propose("after-follower-restart");
+  expect_replicas_match();
+
+  for (size_t r = 0; r < c.group->size(); r++) {
+    ASSERT_TRUE(c.group->RestartReplica(r).ok());
+  }
+  EXPECT_EQ(c.group->Leader(), nullptr);
+  c.group->replica(0)->StartElection();
+  ASSERT_TRUE(c.group->replica(0)->IsLeader());
+  propose("after-group-restart");
+  expect_replicas_match();
 }
 
 // State machine with snapshot support: an ordered map of key=value

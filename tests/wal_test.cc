@@ -1,5 +1,6 @@
 // Unit tests for the WAL: append/LSN sequencing, replay (memory and file),
-// CDC tailing, prefix truncation, and torn-tail recovery.
+// memory-window reads, shared records, prefix truncation, and torn-tail
+// recovery.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +52,7 @@ TEST(WalTest, ReadFromTailsWindow) {
   auto batch = wal.ReadFrom(15, 100);
   ASSERT_EQ(batch.size(), 5u);
   EXPECT_EQ(batch[0].first, 15u);
-  EXPECT_EQ(batch[0].second, "r15");
+  EXPECT_EQ(batch[0].second.view(), "r15");
   auto capped = wal.ReadFrom(0, 3);
   EXPECT_EQ(capped.size(), 3u);
 }
@@ -102,6 +103,67 @@ TEST(WalTest, FileBackedReplaySurvivesReopen) {
                  }).ok());
   EXPECT_EQ(seen, (std::vector<std::string>{"persisted-1", "persisted-2"}));
   std::remove(path.c_str());
+}
+
+// Appending a shared record and appending a view of the same bytes write
+// identical frames and replay identically; the window keeps the shared
+// record itself.
+TEST(WalTest, SharedRecordAndViewWriteIdenticalFrames) {
+  const std::string shared_path = TempPath("shared");
+  const std::string view_path = TempPath("view");
+  std::remove(shared_path.c_str());
+  std::remove(view_path.c_str());
+  const std::vector<std::string> records = {
+      std::string(1, '\1') + std::string(200, 'x'), "", "head+tail"};
+  {
+    WalOptions shared_options;
+    shared_options.path = shared_path;
+    Wal shared(shared_options);
+    WalOptions view_options;
+    view_options.path = view_path;
+    Wal viewed(view_options);
+    ASSERT_TRUE(shared.Open().ok());
+    ASSERT_TRUE(viewed.Open().ok());
+    for (size_t i = 0; i < records.size(); i++) {
+      WalRecord record = i + 1 == records.size()
+                             ? WalRecord("head", "+tail")
+                             : WalRecord(records[i]);
+      ASSERT_TRUE(shared.Append(record).ok());
+      ASSERT_TRUE(viewed.Append(std::string_view(records[i])).ok());
+      // The window holds `record` itself, not a copy of its bytes.
+      EXPECT_EQ(static_cast<const void*>(
+                    shared.ReadFrom(i, 1).at(0).second.view().data()),
+                static_cast<const void*>(record.view().data()));
+    }
+  }
+  auto file_bytes = [](const std::string& path) {
+    std::string out;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr) return out;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+    std::fclose(f);
+    return out;
+  };
+  const std::string shared_bytes = file_bytes(shared_path);
+  EXPECT_FALSE(shared_bytes.empty());
+  EXPECT_EQ(shared_bytes, file_bytes(view_path));
+
+  for (const std::string& path : {shared_path, view_path}) {
+    WalOptions options;
+    options.path = path;
+    Wal wal(options);
+    ASSERT_TRUE(wal.Open().ok());
+    std::vector<std::string> seen;
+    ASSERT_TRUE(wal.Replay([&](uint64_t lsn, std::string_view rec) {
+                     EXPECT_EQ(lsn, seen.size());
+                     seen.emplace_back(rec);
+                   }).ok());
+    EXPECT_EQ(seen, records) << path;
+  }
+  std::remove(shared_path.c_str());
+  std::remove(view_path.c_str());
 }
 
 TEST(WalTest, TornTailStopsReplayCleanly) {
